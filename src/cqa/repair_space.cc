@@ -9,6 +9,7 @@
 #include "common/timer.h"
 #include "cqa/entailment.h"
 #include "datalog/grounder.h"
+#include "obs/trace.h"
 #include "relation/instance_view.h"
 #include "repair/semantics_registry.h"
 #include "sat/totalizer.h"
@@ -228,6 +229,7 @@ void SymbolicRepairSpace::EnsureFallbackLoadedLocked() {
   }
   std::unordered_map<uint32_t, std::vector<uint32_t>> components;
   for (uint32_t v = 0; v < n; ++v) components[find(v)].push_back(v);
+  uncapped_.assign(n, 0);
   for (auto& [root, vars] : components) {
     uint32_t k = 0;
     for (uint32_t v : vars) k += min_model_[v] ? 1 : 0;
@@ -238,6 +240,14 @@ void SymbolicRepairSpace::EnsureFallbackLoadedLocked() {
       continue;
     }
     if (k >= vars.size()) continue;  // cap would be vacuous
+    if (static_cast<uint64_t>(vars.size()) * (k + 1) >
+        min_ones_options_.max_totalizer_area) {
+      // Too wide to count (n_i x (k_i+1) clauses): the component stays
+      // uncapped, its models a superset of its minimum repairs, and
+      // answers touching it get undecided fallback verdicts.
+      for (uint32_t v : vars) uncapped_[v] = 1;
+      continue;
+    }
     std::vector<Lit> inputs;
     inputs.reserve(vars.size());
     for (uint32_t v : vars) inputs.push_back(PosLit(v));
@@ -245,6 +255,17 @@ void SymbolicRepairSpace::EnsureFallbackLoadedLocked() {
     if (outputs.size() > k) solver_.AddClause({-outputs[k]});
   }
   solver_.FreezeRange(n, solver_.num_vars());
+}
+
+bool SymbolicRepairSpace::TouchesUncappedLocked(
+    const AnswerProvenance& prov) const {
+  for (const std::vector<TupleId>& m : prov.monomials) {
+    for (const TupleId& t : m) {
+      int64_t v = builder_.FindVar(t);
+      if (v >= 0 && uncapped_[static_cast<size_t>(v)]) return true;
+    }
+  }
+  return false;
 }
 
 bool SymbolicRepairSpace::DeathClause(const std::vector<TupleId>& monomial,
@@ -286,6 +307,10 @@ CqaVerdict SymbolicRepairSpace::FallbackCertain(const AnswerProvenance& prov,
     if (!DeathClause(m, &clause)) return {true, true};
     clauses.push_back(std::move(clause));
   }
+  Span span("cqa.fallback");
+  const bool uncapped = TouchesUncappedLocked(prov);
+  span.SetArg("cap_skipped", uncapped ? 1 : 0);
+  if (uncapped) return {false, false};
   const Lit selector = PosLit(solver_.NewVar());
   for (std::vector<Lit>& clause : clauses) {
     clause.push_back(-selector);
@@ -312,6 +337,10 @@ CqaVerdict SymbolicRepairSpace::FallbackPossible(const AnswerProvenance& prov,
     std::vector<Lit> death;
     if (!DeathClause(m, &death)) return {true, true};
   }
+  Span span("cqa.fallback");
+  const bool uncapped = TouchesUncappedLocked(prov);
+  span.SetArg("cap_skipped", uncapped ? 1 : 0);
+  if (uncapped) return {true, false};
   const Lit selector = PosLit(solver_.NewVar());
   std::vector<Lit> some_monomial{-selector};
   for (const std::vector<TupleId>& m : prov.monomials) {

@@ -202,8 +202,14 @@ class SymbolicRepairSpace : public RepairSpace {
   friend class SymbolicJudge;
 
   /// Loads the shared fallback solver with the full stability CNF plus
-  /// per-component totalizer caps. Requires fallback_mu_.
+  /// per-component totalizer caps. A cap wider than
+  /// MinOnesOptions::max_totalizer_area is skipped and its component's
+  /// variables marked in uncapped_. Requires fallback_mu_.
   void EnsureFallbackLoadedLocked();
+  /// True when `prov` touches an uncapped component: the fallback solver
+  /// would range over a superset of the minimum repairs there, so the
+  /// verdict stays undecided. Requires fallback_mu_ and a loaded solver.
+  bool TouchesUncappedLocked(const AnswerProvenance& prov) const;
   /// Full-CNF verdicts on the shared solver (selector-retired clause
   /// groups); serialize internally on fallback_mu_.
   CqaVerdict FallbackCertain(const AnswerProvenance& prov, ExecContext* ctx);
@@ -232,6 +238,7 @@ class SymbolicRepairSpace : public RepairSpace {
   std::mutex fallback_mu_;  // serializes solver_ use and lazy loading
   bool fallback_loaded_ = false;
   CdclSolver solver_;
+  std::vector<char> uncapped_;  // per deletion variable: its cap skipped
 
   std::mutex stats_mu_;  // judges flush counters concurrently
   SliceStats slice_stats_;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "cqa/entailment.h"
+#include "obs/trace.h"
 
 namespace deltarepair {
 
@@ -142,6 +143,17 @@ void WarmRepairSpace::AddSliceStats(SliceStats* stats) const {
   stats->clauses_reclaimed += cnf_->clauses_reclaimed();
 }
 
+bool WarmRepairSpace::TouchesUncappedLocked(
+    const AnswerProvenance& prov) const {
+  for (const std::vector<TupleId>& m : prov.monomials) {
+    for (const TupleId& t : m) {
+      int64_t v = cnf_->FindVar(t);
+      if (v >= 0 && cnf_->CapSkipped(static_cast<uint32_t>(v))) return true;
+    }
+  }
+  return false;
+}
+
 bool WarmRepairSpace::DeathClause(const std::vector<TupleId>& monomial,
                                   std::vector<Lit>* out) {
   bool touched = false;
@@ -181,13 +193,18 @@ CqaVerdict WarmRepairSpace::FallbackCertain(const AnswerProvenance& prov,
     clauses.push_back(std::move(clause));
   }
   std::lock_guard<std::mutex> lock(fallback_mu_);
+  std::vector<Lit> assumptions =
+      cnf_->entail_assumptions(min_ones_options_.max_totalizer_area);
+  Span span("cqa.fallback");
+  const bool uncapped = TouchesUncappedLocked(prov);
+  span.SetArg("cap_skipped", uncapped ? 1 : 0);
+  if (uncapped) return {false, false};
   CdclSolver* solver = cnf_->solver();
   const Lit selector = PosLit(solver->NewVar());
   for (std::vector<Lit>& clause : clauses) {
     clause.push_back(-selector);
     solver->AddClause(std::move(clause));
   }
-  std::vector<Lit> assumptions = cnf_->entail_assumptions();
   assumptions.push_back(selector);
   SolveStatus status = SolveUnder(ctx, assumptions);
   solver->AddClause({-selector});  // retire
@@ -208,6 +225,12 @@ CqaVerdict WarmRepairSpace::FallbackPossible(const AnswerProvenance& prov,
     if (!DeathClause(m, &death)) return {true, true};
   }
   std::lock_guard<std::mutex> lock(fallback_mu_);
+  std::vector<Lit> assumptions =
+      cnf_->entail_assumptions(min_ones_options_.max_totalizer_area);
+  Span span("cqa.fallback");
+  const bool uncapped = TouchesUncappedLocked(prov);
+  span.SetArg("cap_skipped", uncapped ? 1 : 0);
+  if (uncapped) return {true, false};
   CdclSolver* solver = cnf_->solver();
   const Lit selector = PosLit(solver->NewVar());
   std::vector<Lit> some_monomial{-selector};
@@ -222,7 +245,6 @@ CqaVerdict WarmRepairSpace::FallbackPossible(const AnswerProvenance& prov,
     }
   }
   solver->AddClause(std::move(some_monomial));
-  std::vector<Lit> assumptions = cnf_->entail_assumptions();
   assumptions.push_back(selector);
   SolveStatus status = SolveUnder(ctx, assumptions);
   solver->AddClause({-selector});  // retire

@@ -112,6 +112,12 @@ class WarmRepairSpace : public RepairSpace {
   std::optional<CqaCounterexample> FallbackCounterexample(
       const AnswerProvenance& prov, ExecContext* ctx);
 
+  /// True when `prov` touches a component the entailment assumptions
+  /// left uncapped (IncrementalDeletionCnf::CapSkipped): the borrowed
+  /// solver would range over a superset of the minimum repairs there,
+  /// so the verdict stays undecided. Requires fallback_mu_, after
+  /// entail_assumptions().
+  bool TouchesUncappedLocked(const AnswerProvenance& prov) const;
   /// Positive deletion literals of the monomial's tuples that have a
   /// deletion variable. False when none has one (the answer then
   /// survives every repair outright). Variables pinned false by the

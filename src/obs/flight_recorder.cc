@@ -53,7 +53,7 @@ void FlightRecorder::WriteJson(JsonWriter& json) const {
       json.Field("dur_us", static_cast<double>(ev.dur_ns) / 1000.0);
       json.Field("tid", static_cast<int64_t>(ev.tid));
       json.Field("depth", static_cast<int64_t>(ev.depth));
-      for (int i = 0; i < 2; ++i) {
+      for (int i = 0; i < kMaxSpanArgs; ++i) {
         if (ev.arg_keys[i] != nullptr) {
           json.Field(ev.arg_keys[i], static_cast<int64_t>(ev.arg_vals[i]));
         }

@@ -45,10 +45,8 @@ struct Slot {
   std::atomic<uint64_t> dur_ns{0};
   std::atomic<uint64_t> trace_id{0};
   std::atomic<uint64_t> meta{0};  // tid << 32 | depth
-  std::atomic<const char*> key0{nullptr};
-  std::atomic<const char*> key1{nullptr};
-  std::atomic<uint64_t> val0{0};
-  std::atomic<uint64_t> val1{0};
+  std::atomic<const char*> keys[kMaxSpanArgs] = {};
+  std::atomic<uint64_t> vals[kMaxSpanArgs] = {};
 };
 
 struct ThreadBuffer {
@@ -73,10 +71,10 @@ struct ThreadBuffer {
     s.trace_id.store(ev.trace_id, std::memory_order_relaxed);
     s.meta.store((uint64_t{ev.tid} << 32) | ev.depth,
                  std::memory_order_relaxed);
-    s.key0.store(ev.arg_keys[0], std::memory_order_relaxed);
-    s.key1.store(ev.arg_keys[1], std::memory_order_relaxed);
-    s.val0.store(ev.arg_vals[0], std::memory_order_relaxed);
-    s.val1.store(ev.arg_vals[1], std::memory_order_relaxed);
+    for (int i = 0; i < kMaxSpanArgs; ++i) {
+      s.keys[i].store(ev.arg_keys[i], std::memory_order_relaxed);
+      s.vals[i].store(ev.arg_vals[i], std::memory_order_relaxed);
+    }
     s.seq.store(seq + 2, std::memory_order_release);  // even: stable
   }
 
@@ -93,10 +91,10 @@ struct ThreadBuffer {
       uint64_t meta = s.meta.load(std::memory_order_relaxed);
       ev.tid = static_cast<uint32_t>(meta >> 32);
       ev.depth = static_cast<uint32_t>(meta & 0xffffffffu);
-      ev.arg_keys[0] = s.key0.load(std::memory_order_relaxed);
-      ev.arg_keys[1] = s.key1.load(std::memory_order_relaxed);
-      ev.arg_vals[0] = s.val0.load(std::memory_order_relaxed);
-      ev.arg_vals[1] = s.val1.load(std::memory_order_relaxed);
+      for (int i = 0; i < kMaxSpanArgs; ++i) {
+        ev.arg_keys[i] = s.keys[i].load(std::memory_order_relaxed);
+        ev.arg_vals[i] = s.vals[i].load(std::memory_order_relaxed);
+      }
       std::atomic_thread_fence(std::memory_order_acquire);
       if (s.seq.load(std::memory_order_relaxed) != s1) continue;
       if (ev.name == nullptr) continue;
@@ -273,7 +271,7 @@ void Trace::WriteChromeJson(JsonWriter& json,
       json.Field("trace_id", hex);
     }
     json.Field("depth", static_cast<int64_t>(ev.depth));
-    for (int i = 0; i < 2; ++i) {
+    for (int i = 0; i < kMaxSpanArgs; ++i) {
       if (ev.arg_keys[i] != nullptr) {
         json.Field(ev.arg_keys[i], static_cast<int64_t>(ev.arg_vals[i]));
       }
@@ -325,10 +323,10 @@ void Span::End() {
   ev.trace_id = trace_id_;
   ev.tid = buf->tid;
   ev.depth = depth_;
-  ev.arg_keys[0] = arg_keys_[0];
-  ev.arg_keys[1] = arg_keys_[1];
-  ev.arg_vals[0] = arg_vals_[0];
-  ev.arg_vals[1] = arg_vals_[1];
+  for (int i = 0; i < kMaxSpanArgs; ++i) {
+    ev.arg_keys[i] = arg_keys_[i];
+    ev.arg_vals[i] = arg_vals_[i];
+  }
   buf->Record(ev);
 }
 

@@ -40,6 +40,9 @@ namespace deltarepair {
 
 class JsonWriter;
 
+/// Numeric arguments a span can carry.
+constexpr int kMaxSpanArgs = 8;
+
 /// One completed span as read back out of the rings. `name` and
 /// `arg_keys` point at static-storage strings.
 struct TraceEvent {
@@ -49,8 +52,8 @@ struct TraceEvent {
   uint64_t trace_id = 0;  // 0 = recorded outside any TraceIdScope
   uint32_t tid = 0;       // small sequential id of the recording thread
   uint32_t depth = 0;     // span-stack depth at the recording site
-  const char* arg_keys[2] = {nullptr, nullptr};
-  uint64_t arg_vals[2] = {0, 0};
+  const char* arg_keys[kMaxSpanArgs] = {};
+  uint64_t arg_vals[kMaxSpanArgs] = {};
 };
 
 namespace trace_internal {
@@ -71,7 +74,7 @@ class Trace {
 
   /// Ring capacity in slots per thread (rounded up to a power of two,
   /// minimum 64). Applies to buffers created after the call; the
-  /// default is 4096 (~320KB per recording thread).
+  /// default is 4096 (~700KB per recording thread).
   static void SetRingCapacity(size_t slots);
 
   /// Request sampling: TraceIdScope records only ids with
@@ -129,9 +132,10 @@ class TraceIdScope {
 #ifndef DR_NO_TRACING
 
 /// RAII span: records [construction, destruction) into the current
-/// thread's ring when tracing is enabled. Up to two numeric arguments
-/// ride along (keys must be string literals). Must be stack-scoped on
-/// one thread.
+/// thread's ring when tracing is enabled. Up to kMaxSpanArgs numeric
+/// arguments ride along (keys must be string literals; setting a key
+/// again overwrites its value, and once every slot is taken a new key
+/// overwrites the last one). Must be stack-scoped on one thread.
 class Span {
  public:
   explicit Span(const char* name) {
@@ -146,13 +150,13 @@ class Span {
   /// No-op when the span is not recording.
   void SetArg(const char* key, uint64_t value) {
     if (!active_) return;
-    if (arg_keys_[0] == nullptr) {
-      arg_keys_[0] = key;
-      arg_vals_[0] = value;
-    } else {
-      arg_keys_[1] = key;
-      arg_vals_[1] = value;
+    int i = 0;
+    while (i < kMaxSpanArgs - 1 && arg_keys_[i] != nullptr &&
+           arg_keys_[i] != key) {
+      ++i;
     }
+    arg_keys_[i] = key;
+    arg_vals_[i] = value;
   }
   bool active() const { return active_; }
 
@@ -165,8 +169,8 @@ class Span {
   uint64_t start_ns_ = 0;
   uint64_t trace_id_ = 0;
   uint32_t depth_ = 0;
-  const char* arg_keys_[2] = {nullptr, nullptr};
-  uint64_t arg_vals_[2] = {0, 0};
+  const char* arg_keys_[kMaxSpanArgs] = {};
+  uint64_t arg_vals_[kMaxSpanArgs] = {};
 };
 
 #else  // DR_NO_TRACING

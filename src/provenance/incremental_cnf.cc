@@ -428,11 +428,16 @@ WarmMinOnesResult IncrementalDeletionCnf::SolveMinOnes(
   return out;
 }
 
-const std::vector<Lit>& IncrementalDeletionCnf::entail_assumptions() {
+const std::vector<Lit>& IncrementalDeletionCnf::entail_assumptions(
+    uint64_t max_totalizer_area) {
   DR_CHECK_MSG(solved_epoch_ == epoch_,
                "entail_assumptions needs SolveMinOnes at the current epoch");
-  if (assumptions_epoch_ == epoch_) return entail_assumptions_;
+  if (assumptions_epoch_ == epoch_ &&
+      assumptions_area_ == max_totalizer_area) {
+    return entail_assumptions_;
+  }
   entail_assumptions_.clear();
+  uncapped_.clear();
   for (const RuleClause& rc : clauses_) {
     if (rc.active && rc.sel != UINT32_MAX)
       entail_assumptions_.push_back(PosLit(rc.sel));
@@ -445,6 +450,10 @@ const std::vector<Lit>& IncrementalDeletionCnf::entail_assumptions() {
       for (uint32_t v : comp.vars)
         entail_assumptions_.push_back(NegLit(v));
     } else if (comp.num_true < comp.vars.size()) {
+      if (comp.vars.size() * (comp.num_true + 1) > max_totalizer_area) {
+        uncapped_.insert(comp.key);  // too wide to count
+        continue;
+      }
       auto it = totalizer_cache_.find(comp.key);
       if (it == totalizer_cache_.end()) {
         std::vector<Lit> inputs;
@@ -466,7 +475,13 @@ const std::vector<Lit>& IncrementalDeletionCnf::entail_assumptions() {
       entail_assumptions_.push_back(NegLit(v));
   }
   assumptions_epoch_ = epoch_;
+  assumptions_area_ = max_totalizer_area;
   return entail_assumptions_;
+}
+
+bool IncrementalDeletionCnf::CapSkipped(uint32_t var) const {
+  auto it = comp_key_of_var_.find(var);
+  return it != comp_key_of_var_.end() && uncapped_.count(it->second) != 0;
 }
 
 Cnf IncrementalDeletionCnf::ExtractActiveCnf(

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -95,9 +96,16 @@ class IncrementalDeletionCnf {
   /// Assumptions restricting solver models to exactly the minimum
   /// repairs of the current version: active rule selectors, the
   /// per-component totalizer cap at the component minimum, and pinned-
-  /// false literals for every unconstrained deletion variable. Valid
-  /// after the most recent SolveMinOnes (empty before; rebuilt lazily).
-  const std::vector<Lit>& entail_assumptions();
+  /// false literals for every unconstrained deletion variable. A cap
+  /// wider than `max_totalizer_area` (component vars x (minimum + 1)) is
+  /// skipped: that component's models are then a superset of its
+  /// minimum repairs, and CapSkipped() reports its variables. Valid
+  /// after the most recent SolveMinOnes (rebuilt lazily).
+  const std::vector<Lit>& entail_assumptions(uint64_t max_totalizer_area);
+
+  /// True when the latest entail_assumptions() left the component of
+  /// deletion variable `var` uncapped.
+  bool CapSkipped(uint32_t var) const;
 
   /// Deletion variable of tuple `t`, or -1 if the tuple never appeared
   /// in any (active or retired) ground rule.
@@ -197,7 +205,9 @@ class IncrementalDeletionCnf {
   std::vector<LiveComponent> live_components_;
   uint64_t solved_epoch_ = UINT64_MAX;
   uint64_t assumptions_epoch_ = UINT64_MAX;
+  uint64_t assumptions_area_ = 0;  // max_totalizer_area they were built for
   std::vector<Lit> entail_assumptions_;
+  std::unordered_set<ComponentKey, ComponentKeyHash> uncapped_;
 };
 
 }  // namespace deltarepair

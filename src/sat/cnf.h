@@ -40,6 +40,13 @@ class Cnf {
   size_t num_clauses() const { return clauses_.size(); }
   const std::vector<std::vector<Lit>>& clauses() const { return clauses_; }
 
+  /// Moves the clauses out, leaving no clauses (num_vars is kept).
+  std::vector<std::vector<Lit>> TakeClauses() {
+    std::vector<std::vector<Lit>> out;
+    out.swap(clauses_);
+    return out;
+  }
+
   /// What Normalize() dropped (satisfiability-preserving).
   struct NormalizeStats {
     uint64_t duplicate_clauses = 0;    // textually identical repeats

@@ -31,27 +31,39 @@ class UnionFind {
   std::vector<uint32_t> parent_;
 };
 
-/// Min-Ones-specific preprocessing, run globally before decomposition:
-/// unit propagation over the clause set plus pure-negative-literal
-/// elimination (a variable with no positive occurrence can be false in
-/// some minimum model — making it true only costs), cascaded to
-/// fixpoint. Mutates `clauses` (dead clauses emptied, falsified literals
-/// stripped) and records decided variables in `fixed` (-1 free, 0 false,
-/// 1 true). Returns false on refutation.
+/// Min-Ones-specific preprocessing, run globally before decomposition.
+/// Three rules share one set of CSR occurrence lists and cascade to a
+/// fixpoint:
+///  - unit propagation;
+///  - pure-negative elimination: a variable with no positive occurrence
+///    can be false in some minimum model (making it true only costs);
+///  - dominated-variable elimination: a free v is fixed false when some
+///    other free u has occ+(v) ⊆ occ+(u) and occ-(u) ⊆ occ-(v) over the
+///    live clauses. Moving v's truth to u (v := 0, u := 1) satisfies
+///    every clause (+v's clauses hold +u, ¬u's clauses hold ¬v) and
+///    never adds a true variable, so some minimum model has v false.
+///    Candidates u are found by counting co-occurrences across v's live
+///    positive clauses; fixing v strips +v (each such clause keeps +u)
+///    and kills the clauses holding ¬v. Round r re-examines, once each,
+///    only the variables whose clauses died or shrank in round r-1.
+/// Mutates `clauses` (dead clauses emptied, falsified literals stripped),
+/// records decided variables in `fixed` (-1 free, 0 false, 1 true) and
+/// the rule counters in `counts`. Returns false on refutation.
 bool PreprocessMinOnes(std::vector<std::vector<Lit>>* clauses,
-                       std::vector<int8_t>* fixed) {
+                       std::vector<int8_t>* fixed, MinOnesResult* counts) {
   const uint32_t n = static_cast<uint32_t>(fixed->size());
   // Occurrence lists by literal (2v = positive, 2v+1 = negative) in one
-  // flat CSR block, and live positive-occurrence counts.
+  // flat CSR block, and live occurrence counts per polarity.
   std::vector<uint32_t> occ_start(static_cast<size_t>(n) * 2 + 1, 0);
   std::vector<uint32_t> pos_count(n, 0);
+  std::vector<uint32_t> neg_count(n, 0);
   std::vector<char> dead(clauses->size(), 0);
   size_t total_lits = 0;
   for (const auto& clause : *clauses) {
     total_lits += clause.size();
     for (Lit l : clause) {
       ++occ_start[LitVar(l) * 2 + (LitSign(l) ? 0 : 1) + 1];
-      if (LitSign(l)) ++pos_count[LitVar(l)];
+      ++(LitSign(l) ? pos_count : neg_count)[LitVar(l)];
     }
   }
   for (size_t i = 1; i < occ_start.size(); ++i) occ_start[i] += occ_start[i - 1];
@@ -79,6 +91,16 @@ bool PreprocessMinOnes(std::vector<std::vector<Lit>>* clauses,
   for (uint32_t v = 0; v < n; ++v) {
     if (pos_count[v] == 0) pure_candidates.push_back(v);
   }
+  // Variables queued for the next dominance round: those whose clause
+  // set changed since their last examination.
+  std::vector<uint32_t> next_round;
+  std::vector<char> queued(n, 0);
+  auto requeue = [&](uint32_t v) {
+    if ((*fixed)[v] == -1 && !queued[v]) {
+      queued[v] = 1;
+      next_round.push_back(v);
+    }
+  };
 
   // Kills clause `c` (it is satisfied): every other literal loses an
   // occurrence, possibly creating new pure-negative variables.
@@ -86,9 +108,13 @@ bool PreprocessMinOnes(std::vector<std::vector<Lit>>* clauses,
     if (dead[c]) return;
     dead[c] = 1;
     for (Lit l : (*clauses)[c]) {
-      if (LitSign(l) && --pos_count[LitVar(l)] == 0) {
-        pure_candidates.push_back(LitVar(l));
+      const uint32_t v = LitVar(l);
+      if (!LitSign(l)) {
+        --neg_count[v];
+      } else if (--pos_count[v] == 0) {
+        pure_candidates.push_back(v);
       }
+      requeue(v);
     }
     (*clauses)[c].clear();
   };
@@ -103,39 +129,129 @@ bool PreprocessMinOnes(std::vector<std::vector<Lit>>* clauses,
         break;
       }
     }
-    if (LitSign(l) && --pos_count[LitVar(l)] == 0) {
+    if (!LitSign(l)) {
+      --neg_count[LitVar(l)];
+    } else if (--pos_count[LitVar(l)] == 0) {
       pure_candidates.push_back(LitVar(l));
     }
+    for (Lit other : lits) requeue(LitVar(other));
     if (lits.empty()) return false;  // refuted
     if (lits.size() == 1) units.push_back(lits[0]);
     return true;
   };
-
-  while (!units.empty() || !pure_candidates.empty()) {
-    if (!units.empty()) {
-      Lit l = units.back();
-      units.pop_back();
-      uint32_t v = LitVar(l);
-      int8_t want = LitSign(l) ? 1 : 0;
-      if ((*fixed)[v] == want) continue;
-      if ((*fixed)[v] != -1) return false;  // contradicting units
-      (*fixed)[v] = want;
-      auto [sat_begin, sat_end] = occ(v * 2 + (LitSign(l) ? 0 : 1));
-      for (const uint32_t* c = sat_begin; c != sat_end; ++c) {
-        kill_clause(*c);
+  // Unit propagation and pure-negative elimination to fixpoint.
+  auto propagate = [&]() -> bool {
+    while (!units.empty() || !pure_candidates.empty()) {
+      if (!units.empty()) {
+        Lit l = units.back();
+        units.pop_back();
+        uint32_t v = LitVar(l);
+        int8_t want = LitSign(l) ? 1 : 0;
+        if ((*fixed)[v] == want) continue;
+        if ((*fixed)[v] != -1) return false;  // contradicting units
+        (*fixed)[v] = want;
+        ++counts->fixed_by_propagation;
+        auto [sat_begin, sat_end] = occ(v * 2 + (LitSign(l) ? 0 : 1));
+        for (const uint32_t* c = sat_begin; c != sat_end; ++c) {
+          kill_clause(*c);
+        }
+        auto [unsat_begin, unsat_end] = occ(v * 2 + (LitSign(l) ? 1 : 0));
+        for (const uint32_t* c = unsat_begin; c != unsat_end; ++c) {
+          if (!strip_literal(*c, -l)) return false;
+        }
+        continue;
       }
-      auto [unsat_begin, unsat_end] = occ(v * 2 + (LitSign(l) ? 1 : 0));
-      for (const uint32_t* c = unsat_begin; c != unsat_end; ++c) {
-        if (!strip_literal(*c, -l)) return false;
-      }
-      continue;
+      uint32_t v = pure_candidates.back();
+      pure_candidates.pop_back();
+      if ((*fixed)[v] != -1 || pos_count[v] != 0) continue;
+      (*fixed)[v] = 0;  // no positive occurrence left: false costs nothing
+      ++counts->fixed_by_propagation;
+      auto [neg_begin, neg_end] = occ(v * 2 + 1);
+      for (const uint32_t* c = neg_begin; c != neg_end; ++c) kill_clause(*c);
     }
-    uint32_t v = pure_candidates.back();
-    pure_candidates.pop_back();
-    if ((*fixed)[v] != -1 || pos_count[v] != 0) continue;
-    (*fixed)[v] = 0;  // no positive occurrence left: false costs nothing
-    auto [neg_begin, neg_end] = occ(v * 2 + 1);
-    for (const uint32_t* c = neg_begin; c != neg_end; ++c) kill_clause(*c);
+    return true;
+  };
+
+  // Dominance scratch: co-occurrence counts valid while seen[u] == stamp,
+  // and v's live negative clauses marked with the same stamp.
+  std::vector<uint32_t> co_count(n, 0);
+  std::vector<uint32_t> seen(n, 0);
+  std::vector<uint32_t> neg_mark(clauses->size(), 0);
+  std::vector<uint32_t> candidates;
+  uint32_t stamp = 0;
+  // True when some other free variable dominates free `v`. The first
+  // live positive clause of v proposes candidates; every later one keeps
+  // only those it also holds, so a clause of v without a candidate ends
+  // the search.
+  auto dominated = [&](uint32_t v) -> bool {
+    ++stamp;
+    candidates.clear();
+    uint32_t covered = 0;  // live positive clauses of v scanned so far
+    auto [pos_begin, pos_end] = occ(v * 2);
+    for (const uint32_t* c = pos_begin; c != pos_end; ++c) {
+      if (dead[*c]) continue;
+      for (Lit l : (*clauses)[*c]) {
+        const uint32_t u = LitVar(l);
+        if (!LitSign(l) || u == v) continue;
+        if (covered == 0) {
+          if (neg_count[u] > neg_count[v]) continue;  // occ-(u) too big
+          seen[u] = stamp;
+          co_count[u] = 1;
+          candidates.push_back(u);
+        } else if (seen[u] == stamp && co_count[u] == covered) {
+          ++co_count[u];
+        }
+      }
+      ++covered;
+      size_t keep = 0;
+      for (uint32_t u : candidates) {
+        if (co_count[u] == covered) candidates[keep++] = u;
+      }
+      candidates.resize(keep);
+      if (candidates.empty()) return false;
+    }
+    // Every candidate now holds occ+(v); test occ-(u) ⊆ occ-(v).
+    bool marked = false;
+    for (uint32_t u : candidates) {
+      if (neg_count[u] == 0) return true;
+      if (!marked) {
+        auto [neg_begin, neg_end] = occ(v * 2 + 1);
+        for (const uint32_t* c = neg_begin; c != neg_end; ++c) {
+          neg_mark[*c] = stamp;
+        }
+        marked = true;
+      }
+      bool subset = true;
+      auto [u_begin, u_end] = occ(u * 2 + 1);
+      for (const uint32_t* c = u_begin; c != u_end && subset; ++c) {
+        subset = dead[*c] || neg_mark[*c] == stamp;
+      }
+      if (subset) return true;
+    }
+    return false;
+  };
+
+  // Round 1 examines every variable that propagation leaves free.
+  for (uint32_t v = 0; v < n; ++v) requeue(v);
+  if (!propagate()) return false;
+  std::vector<uint32_t> round;
+  while (!next_round.empty()) {
+    ++counts->preprocess_rounds;
+    round.swap(next_round);
+    next_round.clear();
+    for (uint32_t v : round) queued[v] = 0;
+    for (uint32_t v : round) {
+      if ((*fixed)[v] != -1 || !dominated(v)) continue;
+      (*fixed)[v] = 0;
+      ++counts->fixed_by_dominance;
+      auto [neg_begin, neg_end] = occ(v * 2 + 1);
+      for (const uint32_t* c = neg_begin; c != neg_end; ++c) kill_clause(*c);
+      auto [pos_begin, pos_end] = occ(v * 2);
+      for (const uint32_t* c = pos_begin; c != pos_end; ++c) {
+        if (!strip_literal(*c, PosLit(v))) return false;
+      }
+      if (!propagate()) return false;
+    }
   }
   return true;
 }
@@ -216,6 +332,47 @@ uint32_t DisjointPositiveClauseBound(const ClausePtrRange& clauses,
   return bound;
 }
 
+/// Lower bound on the component optimum by splitting on its busiest
+/// variable. Each side is `sub` plus one unit clause, reduced by
+/// PreprocessMinOnes, which keeps that side's optimum: its fixed-true
+/// count plus the disjoint bound of its residual bounds the side from
+/// below, and a refuted side has no model. The component optimum is
+/// the smaller side's. This closes the star-shaped cores dominance
+/// leaves behind (one hub variable in every clause), where the disjoint
+/// bound alone stays at 1 and totalizer probes stall. Costs two
+/// preprocessing passes over `sub`.
+uint32_t SplitLowerBound(const Cnf& sub) {
+  const uint32_t n = sub.num_vars();
+  std::vector<uint32_t> occurrences(n, 0);
+  for (const auto& clause : sub.clauses()) {
+    for (Lit l : clause) ++occurrences[LitVar(l)];
+  }
+  const uint32_t hub = static_cast<uint32_t>(
+      std::max_element(occurrences.begin(), occurrences.end()) -
+      occurrences.begin());
+  std::vector<char> used(n, 0);
+  std::vector<uint32_t> touched;
+  uint32_t bound = UINT32_MAX;
+  for (Lit side : {PosLit(hub), NegLit(hub)}) {
+    std::vector<std::vector<Lit>> clauses = sub.clauses();
+    clauses.push_back({side});
+    std::vector<int8_t> fixed(n, -1);
+    MinOnesResult counts;
+    if (!PreprocessMinOnes(&clauses, &fixed, &counts)) continue;
+    std::vector<const std::vector<Lit>*> residual;
+    for (const auto& clause : clauses) {
+      if (!clause.empty()) residual.push_back(&clause);
+    }
+    touched.clear();
+    uint32_t side_bound =
+        static_cast<uint32_t>(std::count(fixed.begin(), fixed.end(), 1)) +
+        DisjointPositiveClauseBound(residual, &used, &touched);
+    for (uint32_t v : touched) used[v] = 0;
+    bound = std::min(bound, side_bound);
+  }
+  return bound;
+}
+
 struct ComponentOutcome {
   enum class State {
     kUnsat,             // proven unsatisfiable
@@ -290,6 +447,7 @@ ComponentOutcome SolveComponent(const Cnf& sub,
     out.model = latest;
     out.state = ComponentOutcome::State::kAnytime;
     for (uint32_t v = 0; v < n; ++v) solver.SetPhase(v, latest[v]);
+    if (lb < ub && n > 0) lb = std::max(lb, SplitLowerBound(sub));
   }
   // Above the totalizer area (~vars x incumbent output width) exact
   // bound probing is counterproductive — propagation drags through the
@@ -407,6 +565,7 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
   result.optimal = true;
   WallTimer timer;
 
+  // The one working copy: normalized, then reduced in place.
   Cnf work = cnf;
   result.normalize = work.Normalize();
   for (const auto& clause : work.clauses()) {
@@ -418,12 +577,13 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
   }
   const uint32_t n = work.num_vars();
 
-  // Objective-aware preprocessing: unit propagation + pure-negative
-  // cascade. On the deletion CNFs this typically decides most variables
-  // outright and shatters the residual into small components.
-  std::vector<std::vector<Lit>> residual(work.clauses());
+  // Objective-aware preprocessing: unit propagation, pure-negative and
+  // dominated-variable elimination. On the deletion CNFs this decides
+  // most variables outright — often all of them — and shatters the
+  // residual into small components.
+  std::vector<std::vector<Lit>> residual = work.TakeClauses();
   std::vector<int8_t> fixed(n, -1);
-  if (!PreprocessMinOnes(&residual, &fixed)) {
+  if (!PreprocessMinOnes(&residual, &fixed, &result)) {
     result.satisfiable = false;
     result.optimal = true;
     return result;
@@ -458,6 +618,17 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
     int comp = root_to_comp[uf.Find(v)];
     if (comp >= 0) comp_vars[static_cast<size_t>(comp)].push_back(v);
   }
+  for (const auto& comp : comp_clauses) {
+    result.residual_clauses += static_cast<uint32_t>(comp.size());
+  }
+  for (const auto& vars : comp_vars) {
+    result.residual_vars += static_cast<uint32_t>(vars.size());
+  }
+  span.SetArg("fixed_propagation", result.fixed_by_propagation);
+  span.SetArg("fixed_dominance", result.fixed_by_dominance);
+  span.SetArg("rounds", result.preprocess_rounds);
+  span.SetArg("residual_vars", result.residual_vars);
+  span.SetArg("components", result.num_components);
 
   // Decided variables enter the model directly; free ones default false.
   std::vector<bool> model(n, false);
@@ -511,6 +682,9 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
 
   std::vector<char> lb_used(n, 0);
   std::vector<uint32_t> lb_touched;
+  // Global -> component-local variable map, shared by every component
+  // and reset entry by entry after each remap.
+  std::vector<uint32_t> local_of(n, UINT32_MAX);
   for (size_t ci = 0; ci < comp_clauses.size(); ++ci) {
     const auto& comp = comp_clauses[ci];
     if (have_global) {
@@ -526,7 +700,6 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
       }
     }
     // Remap variables into a dense sub-instance.
-    std::vector<uint32_t> local_of(n, UINT32_MAX);
     std::vector<uint32_t> global_of;
     Cnf sub;
     for (const auto* clause : comp) {
@@ -542,6 +715,7 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
       }
       sub.AddClause(std::move(lits));
     }
+    for (uint32_t g : global_of) local_of[g] = UINT32_MAX;
     std::vector<bool> warm;
     if (have_global) {
       warm.resize(global_of.size());

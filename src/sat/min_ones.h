@@ -5,21 +5,46 @@
 //
 // The optimizer is an anytime bounded search over the incremental CDCL
 // engine (solver.h):
-//  1. normalize (dedupe + unit subsumption), then preprocess with the
-//     objective in mind: unit propagation plus pure-negative-literal
-//     elimination decide most deletion variables outright,
+//  1. normalize (dedupe + unit subsumption) into one working copy, then
+//     preprocess it with the objective in mind, cascading three rules to
+//     a fixpoint over shared CSR occurrence lists:
+//       - unit propagation;
+//       - pure-negative elimination: no positive occurrence left, so
+//         false costs nothing;
+//       - dominated-variable elimination: v is fixed false when another
+//         free u has occ+(v) ⊆ occ+(u) and occ-(u) ⊆ occ-(v) over the
+//         live clauses. Sound because v := 0, u := 1 satisfies every
+//         clause and never adds a true variable, so some minimum model
+//         has v false. A check of v scans the literals of its positive
+//         clauses, then per surviving candidate one negative list no
+//         longer than v's. A round checks each variable at most once,
+//         so it costs O(sum of |c|^2 + w * L-), w the widest clause and
+//         L- the negative literal count; on join CNFs candidates die
+//         after a clause or two and a round is near-linear. Later
+//         rounds re-check only variables whose clauses died or shrank,
+//         and every round but the last fixes a variable.
+//     On join-shaped deletion CNFs (a Cite's clauses nest in its
+//     Publication's, an Author's in its Organization's) this decides
+//     most variables — often all of them. The reduction keeps the
+//     optimum, not the set of minimum models: callers may take k and the
+//     one returned model, but anything that ranges over all minimum
+//     repairs (CQA cone slicing and cardinality caps) must work on the
+//     unreduced CNF,
 //  2. decompose the residual into connected components (violation
 //     clusters solve independently — the dominant win on
 //     denial-constraint instances),
 //  3. one greedy-cover-seeded global solve hands every component a warm
 //     incumbent; components whose incumbent matches the disjoint
 //     all-positive-clause lower bound are proven optimal on the spot,
-//  4. each remaining component gets its own incremental solver: a
-//     totalizer cardinality counter (capped at the incumbent) is emitted
-//     once, and the optimum is bisected via single-literal assumptions
-//     "sum <= t" — learned clauses carry across bounds; UNSAT proves
-//     optimality. Components too large for a totalizer fall back to
-//     blocking-clause descent with a non-improvement cap.
+//  4. each remaining component gets its own incremental solver. Its
+//     lower bound is first raised by splitting on the busiest variable
+//     and preprocessing each side (closes the star-shaped cores
+//     dominance leaves behind); then a totalizer cardinality counter
+//     (capped at the incumbent) is emitted once, and the optimum is
+//     bisected via single-literal assumptions "sum <= t" — learned
+//     clauses carry across bounds; UNSAT proves optimality. Components
+//     too large for a totalizer fall back to blocking-clause descent
+//     with a non-improvement cap.
 //
 // A work budget / deadline / cancel flag turns the solver into an anytime
 // heuristic: when exhausted, the best incumbent is returned with
@@ -55,7 +80,9 @@ struct MinOnesOptions {
   bool enable_restarts = true;
   /// Totalizer size estimate (component vars x incumbent) above which
   /// exact bound probing gives way to blocking-clause descent. Mostly a
-  /// tuning/testing knob; 0 forces blocking descent everywhere.
+  /// tuning/testing knob; 0 forces blocking descent everywhere. CQA's
+  /// entailment caps obey the same bound: a wider cap is skipped and
+  /// the verdicts that need it come back undecided.
   uint64_t max_totalizer_area = 100'000;
   /// Inprocessing (SCC equivalence reduction, subsumption, bounded
   /// variable elimination, vivification) between the engine's Solve
@@ -87,8 +114,18 @@ struct MinOnesResult {
   uint32_t num_true = 0;
   /// Decisions + propagations across all components (work measure).
   uint64_t engine_assignments = 0;
-  /// Number of independent variable components solved.
+  /// Number of independent variable components left after
+  /// preprocessing (0 when preprocessing decided every variable).
   uint32_t num_components = 0;
+  /// Preprocessing counters: variables decided by unit propagation or
+  /// pure-negative elimination, variables fixed false by dominance, and
+  /// dominance rounds run.
+  uint32_t fixed_by_propagation = 0;
+  uint32_t fixed_by_dominance = 0;
+  uint32_t preprocess_rounds = 0;
+  /// What preprocessing left for search, over num_components components.
+  uint32_t residual_vars = 0;
+  uint32_t residual_clauses = 0;
   /// CDCL counters aggregated across components and bound iterations.
   SolverStats solver;
   /// What the pre-solve normalization dropped.

@@ -45,10 +45,13 @@ TEST(StepOrderingAblationTest, MaxBenefitBeatsArbitraryOnHubInstance) {
 }
 
 TEST(MinOnesDecompositionAblationTest, SameOptimumEitherWay) {
-  // 20 disjoint (a ∨ b) components.
+  // 20 disjoint triangles: preprocessing reduces none of them, so the
+  // knob alone decides 20 components or 1.
   Cnf cnf;
-  for (uint32_t i = 0; i < 40; i += 2) {
+  for (uint32_t i = 0; i < 60; i += 3) {
     cnf.AddClause({PosLit(i), PosLit(i + 1)});
+    cnf.AddClause({PosLit(i + 1), PosLit(i + 2)});
+    cnf.AddClause({PosLit(i), PosLit(i + 2)});
   }
   MinOnesOptions with;
   MinOnesResult decomposed = MinOnesSat(cnf, with);
@@ -57,10 +60,28 @@ TEST(MinOnesDecompositionAblationTest, SameOptimumEitherWay) {
   MinOnesResult monolithic = MinOnesSat(cnf, without);
   ASSERT_TRUE(decomposed.satisfiable);
   ASSERT_TRUE(monolithic.satisfiable);
-  EXPECT_EQ(decomposed.num_true, 20u);
-  EXPECT_EQ(monolithic.num_true, 20u);
+  EXPECT_EQ(decomposed.num_true, 40u);
+  EXPECT_EQ(monolithic.num_true, 40u);
   EXPECT_EQ(decomposed.num_components, 20u);
   EXPECT_EQ(monolithic.num_components, 1u);
+}
+
+TEST(MinOnesDecompositionAblationTest, PairsDecidedBeforeDecomposition) {
+  // 20 disjoint (a ∨ b): dominance decides every pair in preprocessing,
+  // so neither setting has a component left and both prove optimum 20.
+  Cnf cnf;
+  for (uint32_t i = 0; i < 40; i += 2) {
+    cnf.AddClause({PosLit(i), PosLit(i + 1)});
+  }
+  MinOnesOptions without;
+  without.decompose_components = false;
+  for (const MinOnesOptions& options : {MinOnesOptions{}, without}) {
+    MinOnesResult r = MinOnesSat(cnf, options);
+    ASSERT_TRUE(r.satisfiable);
+    EXPECT_TRUE(r.optimal);
+    EXPECT_EQ(r.num_true, 20u);
+    EXPECT_EQ(r.num_components, 0u);
+  }
 }
 
 TEST(MinOnesDecompositionAblationTest, DecompositionExploresLessWork) {

@@ -11,6 +11,7 @@
 #include "common/string_util.h"
 #include "cqa/brute_force.h"
 #include "cqa/cqa.h"
+#include "obs/trace.h"
 #include "repair/stability.h"
 #include "tests/test_util.h"
 #include "workload/programs.h"
@@ -216,6 +217,52 @@ TEST(CqaTest, EntailmentCallsLandInRepairStats) {
   CqaResult baseline = AnswerQuery(&f.engine.value(), no_checks);
   EXPECT_GT(result.stats.repair.sat_solve_calls,
             baseline.stats.repair.sat_solve_calls);
+}
+
+TEST(CqaFallbackCapTest, CapWiderThanAreaLeavesVerdictsUndecided) {
+  // Every Writes answer is certain (the minimum repair deletes only the
+  // hub author); the component's cap has area (kHubPubs + 1) x 2.
+  constexpr int kHubPubs = 6;
+  Database db;
+  Program program = MakeHubAuthorInstance(&db, kHubPubs);
+  StatusOr<RepairEngine> engine = RepairEngine::Create(&db, program);
+  ASSERT_TRUE(engine.ok());
+  // Slicing off: every verdict runs on the full-CNF fallback solver.
+  CqaRequest request("independent", "Q(p) :- W(x, p).");
+  request.options.cqa_slice.enable = false;
+  CqaResult capped_run = AnswerQuery(&engine.value(), request);
+  ASSERT_TRUE(capped_run.ok());
+  EXPECT_EQ(capped_run.CertainAnswers().size(), size_t{kHubPubs});
+  EXPECT_EQ(capped_run.stats.undecided_answers, 0u);
+
+  // Below the cap's area the cap is skipped: the space stays exact, and
+  // the fallback verdicts come back undecided instead of wrong.
+  request.options.independent.min_ones.max_totalizer_area =
+      2 * (kHubPubs + 1) - 1;
+  Trace::Enable(true);
+  Trace::Clear();
+  CqaResult uncapped_run = AnswerQuery(&engine.value(), request);
+  std::vector<TraceEvent> events = Trace::Collect();
+  Trace::Enable(false);
+  Trace::Clear();
+  ASSERT_TRUE(uncapped_run.ok());
+  // Each undecided fallback verdict (certain, then possible) says why on
+  // its span.
+  size_t skipped = 0;
+  for (const TraceEvent& e : events) {
+    if (std::string(e.name) != "cqa.fallback") continue;
+    ASSERT_STREQ(e.arg_keys[0], "cap_skipped");
+    EXPECT_EQ(e.arg_vals[0], 1u);
+    ++skipped;
+  }
+  EXPECT_EQ(skipped, size_t{2 * kHubPubs});
+  EXPECT_TRUE(uncapped_run.stats.space_exact);
+  EXPECT_EQ(uncapped_run.stats.undecided_answers, size_t{kHubPubs});
+  for (const CqaAnswer& answer : uncapped_run.answers) {
+    EXPECT_FALSE(answer.decided);
+    EXPECT_FALSE(answer.certain);
+    EXPECT_TRUE(answer.possible);
+  }
 }
 
 // A fifth semantics whose CQA space is always inexact: exercises the

@@ -255,6 +255,39 @@ TEST(IncrementalEngineTest, DeleteThenReinsertAcrossDeltaBoundary) {
   EXPECT_GT(f.warm->stats().incremental_syncs, 0u);
 }
 
+TEST(IncrementalEngineTest, WideEntailmentCapLeavesFallbackUndecided) {
+  // A hub author writing six papers: one component of 7 variables with
+  // minimum 1 (delete the author), so its cap has area 7 x 2 = 14. Six
+  // answers stay under SliceOptions::warm_min_answers, so every verdict
+  // runs on the long-lived solver under entail_assumptions().
+  Database db;
+  Program program = MakeHubAuthorInstance(&db, 6);
+  StatusOr<std::unique_ptr<IncrementalEngine>> warm =
+      IncrementalEngine::Create(&db, program);
+  ASSERT_TRUE(warm.ok());
+
+  // Undecided verdicts are never cached, so run the capped request
+  // first: below the cap's area the cap is skipped and the verdicts
+  // come back undecided, not wrong.
+  CqaRequest request("independent", "Q(p) :- W(x, p).");
+  request.options.independent.min_ones.max_totalizer_area = 13;
+  CqaResult uncapped_run = (*warm)->ExecuteCqa(request);
+  ASSERT_TRUE(uncapped_run.ok());
+  EXPECT_TRUE(uncapped_run.stats.space_exact);
+  EXPECT_EQ(uncapped_run.stats.undecided_answers, 6u);
+  for (const CqaAnswer& answer : uncapped_run.answers) {
+    EXPECT_FALSE(answer.certain);
+    EXPECT_TRUE(answer.possible);
+  }
+
+  request.options.independent.min_ones = MinOnesOptions{};
+  CqaResult capped_run = (*warm)->ExecuteCqa(request);
+  ASSERT_TRUE(capped_run.ok());
+  EXPECT_EQ(capped_run.stats.undecided_answers, 0u);
+  EXPECT_EQ(capped_run.CertainAnswers().size(), 6u);
+  EXPECT_EQ((*warm)->stats().warm_cqa, 2u);
+}
+
 TEST(IncrementalEngineTest, MassRetirementKeepsSolverSound) {
   // Disable the fraction fallback so even a delta retracting every
   // ground rule of a component is maintained incrementally (selector

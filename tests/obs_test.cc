@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -16,6 +17,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sat/min_ones.h"
 
 namespace deltarepair {
 namespace {
@@ -69,6 +71,57 @@ TEST_F(TraceTest, RecordsNameArgsAndDuration) {
   EXPECT_EQ(e.arg_vals[1], 512u);
   EXPECT_EQ(e.trace_id, 0u);
   EXPECT_EQ(e.depth, 0u);
+}
+
+TEST_F(TraceTest, CarriesUpToEightArgsAndUpdatesRepeatedKeys) {
+  static const char* const kKeys[] = {"a0", "a1", "a2", "a3",
+                                      "a4", "a5", "a6", "a7"};
+  {
+    Span span("test.args");
+    for (int i = 0; i < kMaxSpanArgs; ++i) span.SetArg(kKeys[i], i);
+    span.SetArg("a3", 33);  // an existing key is updated in place
+  }
+  std::vector<TraceEvent> events = EventsNamed(Trace::Collect(),
+                                               "test.args");
+  ASSERT_EQ(events.size(), 1u);
+  for (int i = 0; i < kMaxSpanArgs; ++i) {
+    EXPECT_STREQ(events[0].arg_keys[i], kKeys[i]);
+    EXPECT_EQ(events[0].arg_vals[i], i == 3 ? 33u : uint64_t(i));
+  }
+}
+
+TEST_F(TraceTest, MinOnesSpanExplainsThePreprocessing) {
+  // Two (a ∨ b) pairs, decided by dominance, and one triangle, which no
+  // rule reduces and which is left for search.
+  Cnf cnf;
+  cnf.AddClause({PosLit(0), PosLit(1)});
+  cnf.AddClause({PosLit(2), PosLit(3)});
+  cnf.AddClause({PosLit(4), PosLit(5)});
+  cnf.AddClause({PosLit(5), PosLit(6)});
+  cnf.AddClause({PosLit(4), PosLit(6)});
+  MinOnesResult r = MinOnesSat(cnf);
+  ASSERT_TRUE(r.optimal);
+  EXPECT_EQ(r.fixed_by_dominance, 2u);
+  EXPECT_EQ(r.fixed_by_propagation, 2u);
+  EXPECT_EQ(r.residual_vars, 3u);
+  EXPECT_EQ(r.num_components, 1u);
+  std::vector<TraceEvent> events = EventsNamed(Trace::Collect(),
+                                               "sat.min_ones");
+  ASSERT_EQ(events.size(), 1u);
+  std::map<std::string, uint64_t> args;
+  for (int i = 0; i < kMaxSpanArgs; ++i) {
+    if (events[0].arg_keys[i] != nullptr) {
+      args[events[0].arg_keys[i]] = events[0].arg_vals[i];
+    }
+  }
+  EXPECT_EQ(args["vars"], 7u);
+  EXPECT_EQ(args["clauses"], 5u);
+  EXPECT_EQ(args["fixed_propagation"], r.fixed_by_propagation);
+  EXPECT_EQ(args["fixed_dominance"], r.fixed_by_dominance);
+  EXPECT_EQ(args["rounds"], r.preprocess_rounds);
+  EXPECT_GE(r.preprocess_rounds, 1u);
+  EXPECT_EQ(args["residual_vars"], 3u);
+  EXPECT_EQ(args["components"], 1u);
 }
 
 TEST_F(TraceTest, NestedSpansTrackDepthAndOrdering) {

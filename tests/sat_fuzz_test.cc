@@ -8,6 +8,9 @@
 // with the assumptions added as unit clauses, on one long-lived solver
 // per formula.
 //
+// A third suite fuzzes Min-Ones' preprocessing on join-shaped CNFs
+// rich in dominated variables.
+//
 // DR_FUZZ_ITERS multiplies every instance count (the nightly CI job
 // runs at 10x); unset or 1 is the tier-1 default.
 #include <gtest/gtest.h>
@@ -317,6 +320,65 @@ TEST(SatFuzzTest, InprocessingIncrementalAssumptionsMatchBruteForce) {
       }
     }
   }
+}
+
+/// Join-shaped CNFs like the deletion encodings, rich in dominated
+/// variables: variables form a forest (each may hang under an earlier
+/// one, like Cite under Publication or Author under Organization), and
+/// each clause joins one or two root paths, so a variable's clauses nest
+/// inside its ancestors'. Every literal flips negative with probability
+/// 0.15, which exercises the occ- half of the dominance test.
+Cnf NestedJoinCnf(Rng* rng) {
+  const uint32_t num_vars = 4 + static_cast<uint32_t>(rng->NextBounded(11));
+  std::vector<int> parent(num_vars, -1);
+  for (uint32_t v = 1; v < num_vars; ++v) {
+    if (rng->NextBool(0.75)) {
+      parent[v] = static_cast<int>(rng->NextBounded(v));
+    }
+  }
+  const int num_clauses = 2 + static_cast<int>(rng->NextBounded(20));
+  Cnf cnf(num_vars);
+  for (int c = 0; c < num_clauses; ++c) {
+    std::vector<Lit> lits;
+    const int paths = rng->NextBool(0.5) ? 2 : 1;
+    for (int p = 0; p < paths; ++p) {
+      for (int v = static_cast<int>(rng->NextBounded(num_vars)); v >= 0;
+           v = parent[v]) {
+        const uint32_t var = static_cast<uint32_t>(v);
+        lits.push_back(rng->NextBool(0.85) ? PosLit(var) : NegLit(var));
+      }
+    }
+    cnf.AddClause(lits);
+  }
+  return cnf;
+}
+
+TEST(SatFuzzTest, DominanceRichJoinsMatchBruteForce) {
+  // Preprocessing keeps the optimum but may pick a different minimum
+  // model: every result must be a model, never below the brute-force
+  // minimum, and equal to it whenever optimality is claimed.
+  const int kInstances = ScaledIters(600);
+  int with_dominance = 0;
+  for (int i = 0; i < kInstances; ++i) {
+    Rng rng(0xd0a1 + static_cast<uint64_t>(i));
+    Cnf cnf = NestedJoinCnf(&rng);
+    BruteForce expected = Enumerate(cnf);
+    MinOnesOptions options = ConfigFor(i);
+    if (i % 5 == 4) options.max_totalizer_area = 0;  // blocking descent
+    MinOnesResult r = MinOnesSat(cnf, options);
+    SCOPED_TRACE(testing::Message() << "instance " << i << "\n"
+                                    << cnf.ToString());
+    ASSERT_EQ(r.satisfiable, expected.satisfiable);
+    if (!expected.satisfiable) continue;
+    ASSERT_TRUE(cnf.IsSatisfiedBy(r.model));
+    ASSERT_GE(static_cast<int>(r.num_true), expected.min_ones);
+    if (r.optimal) {
+      ASSERT_EQ(static_cast<int>(r.num_true), expected.min_ones);
+    }
+    if (r.fixed_by_dominance > 0) ++with_dominance;
+  }
+  // The generator must actually exercise the rule.
+  EXPECT_GT(with_dominance, kInstances / 3);
 }
 
 TEST(SatFuzzTest, MinOnesInprocessingAblationMatchesBruteForce) {

@@ -204,15 +204,139 @@ TEST(MinOnesTest, UnsatReported) {
 
 TEST(MinOnesTest, IndependentComponentsSolvedSeparately) {
   Cnf cnf;
-  // Five disjoint (a ∨ b) components: optimum 5, one per component.
+  // Five disjoint triangles (x∨y)(y∨z)(x∨z): no unit, pure-negative or
+  // dominance rule reduces one, so each stays a component of its own.
+  // Optimum 2 per triangle.
+  for (uint32_t i = 0; i < 15; i += 3) {
+    cnf.AddClause({PosLit(i), PosLit(i + 1)});
+    cnf.AddClause({PosLit(i + 1), PosLit(i + 2)});
+    cnf.AddClause({PosLit(i), PosLit(i + 2)});
+  }
+  MinOnesResult r = MinOnesSat(cnf);
+  ASSERT_TRUE(r.satisfiable);
+  EXPECT_EQ(r.num_true, 10u);
+  EXPECT_EQ(r.num_components, 5u);
+  EXPECT_EQ(r.residual_vars, 15u);
+  EXPECT_EQ(r.residual_clauses, 15u);
+  EXPECT_EQ(r.fixed_by_dominance, 0u);
+  EXPECT_TRUE(r.optimal);
+}
+
+TEST(MinOnesTest, DisjointPairsDecidedInPreprocessing) {
+  // Five disjoint (a ∨ b): a and b dominate each other, so one is fixed
+  // false and the other becomes a unit. Nothing is left to search.
+  Cnf cnf;
   for (uint32_t i = 0; i < 10; i += 2) {
     cnf.AddClause({PosLit(i), PosLit(i + 1)});
   }
   MinOnesResult r = MinOnesSat(cnf);
   ASSERT_TRUE(r.satisfiable);
   EXPECT_EQ(r.num_true, 5u);
-  EXPECT_EQ(r.num_components, 5u);
+  EXPECT_EQ(r.num_components, 0u);
+  EXPECT_EQ(r.fixed_by_dominance, 5u);
+  EXPECT_EQ(r.solver.solve_calls, 0u);
   EXPECT_TRUE(r.optimal);
+}
+
+TEST(MinOnesTest, DominanceNeedsTheNegativeCondition) {
+  // (v ∨ u) ∧ (¬u ∨ w), v numbered before u: occ+(v) ⊆ occ+(u), but u
+  // has a negative occurrence v lacks, so u does not dominate v. The
+  // optimum is {v}; fixing v false would force u and then w (2).
+  Cnf cnf;
+  cnf.AddClause({PosLit(0), PosLit(1)});
+  cnf.AddClause({NegLit(1), PosLit(2)});
+  MinOnesResult r = MinOnesSat(cnf);
+  ASSERT_TRUE(r.satisfiable);
+  EXPECT_TRUE(r.optimal);
+  EXPECT_EQ(r.num_true, 1u);
+  EXPECT_TRUE(r.model[0]);
+}
+
+TEST(MinOnesTest, EqualOccurrenceSetsEliminateOneOfEachPair) {
+  // Per group: (a∨b∨x) (a∨b∨y) (x∨y). a and b have equal occurrence
+  // sets; exactly one goes, and the rest is a triangle no rule reduces.
+  Cnf cnf;
+  constexpr uint32_t kGroups = 4;
+  for (uint32_t g = 0; g < kGroups; ++g) {
+    const uint32_t a = 4 * g, b = a + 1, x = a + 2, y = a + 3;
+    cnf.AddClause({PosLit(a), PosLit(b), PosLit(x)});
+    cnf.AddClause({PosLit(a), PosLit(b), PosLit(y)});
+    cnf.AddClause({PosLit(x), PosLit(y)});
+  }
+  MinOnesResult r = MinOnesSat(cnf);
+  ASSERT_TRUE(r.satisfiable);
+  EXPECT_TRUE(r.optimal);
+  EXPECT_EQ(r.num_true, 2 * kGroups);
+  EXPECT_EQ(r.fixed_by_dominance, kGroups);
+  EXPECT_EQ(r.residual_vars, 3 * kGroups);
+  EXPECT_EQ(r.residual_clauses, 3 * kGroups);
+  EXPECT_EQ(r.num_components, kGroups);
+  for (uint32_t g = 0; g < kGroups; ++g) {
+    EXPECT_FALSE(r.model[4 * g] && r.model[4 * g + 1]) << "group " << g;
+  }
+}
+
+TEST(MinOnesTest, NestedJoinChainDecidedInPreprocessing) {
+  // The clause shape of MAS program 15, ~Cite(c, d) :- Cite(c, d),
+  // Publication(c), Writes(a, c), Author(a, o), Organization(o): one
+  // all-positive clause per (cite, writer) pair. A Cite's clauses nest
+  // in its Publication's, a Writes' in its Publication's and its
+  // Author's, an Author's in its Organization's.
+  Cnf cnf;
+  uint32_t next = 0;
+  const uint32_t org[2] = {next++, next++};
+  const uint32_t author_org[4] = {0, 0, 1, 1};
+  uint32_t author[4];
+  for (uint32_t& a : author) a = next++;
+  // pub -> writers, and pub -> number of its cites.
+  const std::vector<std::vector<uint32_t>> writers = {
+      {0}, {0, 1}, {2}, {2, 3}, {3}};
+  const uint32_t cites[5] = {2, 1, 3, 1, 2};
+  for (uint32_t p = 0; p < writers.size(); ++p) {
+    const uint32_t pub = next++;
+    std::vector<uint32_t> writes;
+    for (size_t w = 0; w < writers[p].size(); ++w) writes.push_back(next++);
+    for (uint32_t c = 0; c < cites[p]; ++c) {
+      const uint32_t cite = next++;
+      for (size_t w = 0; w < writers[p].size(); ++w) {
+        const uint32_t a = writers[p][w];
+        cnf.AddClause({PosLit(cite), PosLit(pub), PosLit(writes[w]),
+                       PosLit(author[a]), PosLit(org[author_org[a]])});
+      }
+    }
+  }
+  MinOnesResult r = MinOnesSat(cnf);
+  ASSERT_TRUE(r.satisfiable);
+  EXPECT_TRUE(r.optimal);
+  EXPECT_EQ(r.residual_vars, 0u);
+  EXPECT_EQ(r.num_components, 0u);
+  EXPECT_GT(r.fixed_by_dominance, 0u);
+  EXPECT_EQ(r.solver.solve_calls, 0u);
+  // Both organizations cover every clause between them.
+  EXPECT_EQ(r.num_true, 2u);
+  EXPECT_TRUE(cnf.IsSatisfiedBy(r.model));
+}
+
+TEST(MinOnesTest, StarCoreProvedBySplitting) {
+  // The core dominance leaves on MAS program 8: a hub h in every clause,
+  // (h ∨ w_i) (p_i ∨ ¬w_i ∨ h) (p_i ∨ w_i ∨ ¬h). No rule reduces it and
+  // the disjoint bound is 1, but splitting on h gives 1 + k on the
+  // h side and 2k on the other.
+  constexpr uint32_t k = 12;
+  Cnf cnf;
+  const uint32_t h = 0;
+  for (uint32_t i = 0; i < k; ++i) {
+    const uint32_t w = 1 + 2 * i, p = 2 + 2 * i;
+    cnf.AddClause({PosLit(h), PosLit(w)});
+    cnf.AddClause({PosLit(p), NegLit(w), PosLit(h)});
+    cnf.AddClause({PosLit(p), PosLit(w), NegLit(h)});
+  }
+  MinOnesResult r = MinOnesSat(cnf);
+  ASSERT_TRUE(r.satisfiable);
+  EXPECT_TRUE(r.optimal);
+  EXPECT_EQ(r.num_true, 1 + k);
+  EXPECT_EQ(r.num_components, 1u);
+  EXPECT_EQ(r.solver.conflicts, 0u);
 }
 
 TEST(MinOnesTest, VertexCoverTriangle) {
