@@ -8,17 +8,10 @@ namespace deltarepair {
 
 namespace {
 
-/// Tracks variable bindings during the depth-first join.
-struct Bindings {
-  std::vector<Value> values;
-  std::vector<uint8_t> bound;
-
-  explicit Bindings(uint32_t num_vars)
-      : values(num_vars), bound(num_vars, 0) {}
-};
-
-const Value& TermValue(const Term& t, const Bindings& b) {
-  return t.is_const() ? t.constant : b.values[t.var];
+/// Value of `t` under `values` (the join's bindings: pointers to the row
+/// cells each variable was bound to).
+const Value& TermValue(const Term& t, const std::vector<const Value*>& values) {
+  return t.is_const() ? t.constant : *values[t.var];
 }
 
 }  // namespace
@@ -77,8 +70,8 @@ std::vector<Grounder::PlanStep> Grounder::MakePlan(const Rule& rule,
     bind_atom_vars(best);
   }
 
-  // Per step: the probe mask (bound columns), and each comparison attached
-  // to the earliest plan step at which both sides are bound. Both depend
+  // Per step: the column ops and probe mask, and each comparison attached
+  // to the earliest plan step at which both sides are bound. All depend
   // only on the binding *order*, never on row values, so they are fixed
   // here instead of being recomputed in the hot join loop.
   // Constant-only comparisons are attached to step 0's checks (they hold
@@ -89,9 +82,23 @@ std::vector<Grounder::PlanStep> Grounder::MakePlan(const Rule& rule,
     const Atom& atom = rule.body[plan[s].atom];
     for (size_t c = 0; c < atom.terms.size(); ++c) {
       const Term& t = atom.terms[c];
-      if (t.is_const() || var_bound[t.var]) {
-        plan[s].mask |= (1ULL << c);
+      ColumnOp op;
+      op.column = static_cast<uint32_t>(c);
+      if (t.is_const()) {
+        op.kind = ColumnOp::kConst;
+        op.constant = &t.constant;
+      } else {
+        op.var = t.var;
+        op.kind = var_bound[t.var] ? ColumnOp::kCheck : ColumnOp::kBind;
+        // 2 = bound by an earlier column of this atom: checked against
+        // that cell, but not known at probe time, so not part of the key.
+        if (!var_bound[t.var]) var_bound[t.var] = 2;
       }
+      if (op.kind == ColumnOp::kConst || var_bound[op.var] == 1) {
+        plan[s].mask |= (1ULL << c);
+        plan[s].key.push_back(op);
+      }
+      plan[s].ops.push_back(op);
     }
     for (const auto& t : atom.terms) {
       if (t.is_var()) var_bound[t.var] = 1;
@@ -122,12 +129,16 @@ bool Grounder::EnumerateRule(const Rule& rule, int rule_index, BaseMatch bm,
   Span span("ground.enumerate_rule");
   span.SetArg("rule", static_cast<uint64_t>(rule_index));
   const uint64_t assignments_before = assignments_enumerated_;
+  uint64_t probes = 0;
+  uint64_t rows_visited = 0;
   std::vector<PlanStep> plan = MakePlan(rule, pivot_atom);
-  Bindings bindings(rule.num_vars);
-  std::vector<TupleId> atom_rows(rule.body.size());
-  // Per-depth scratch for variables bound at that depth, hoisted out of
-  // the per-row loop (one allocation per rule, not per row).
-  std::vector<std::vector<uint32_t>> newly_bound_scratch(plan.size());
+  std::vector<const Value*> values(rule.num_vars, nullptr);
+  // The one assignment every leaf overwrites: body[i] is the row bound to
+  // atom i (set when its plan step binds it).
+  GroundAssignment ga;
+  ga.rule = &rule;
+  ga.rule_index = rule_index;
+  ga.body.resize(rule.body.size());
 
   // Comparisons between two constants never depend on bindings; check once.
   for (const auto& cmp : rule.comparisons) {
@@ -140,14 +151,8 @@ bool Grounder::EnumerateRule(const Rule& rule, int rule_index, BaseMatch bm,
 
   // Depth-first join over plan steps.
   auto recurse = [&](auto&& self, size_t depth) -> void {
-    if (!keep_going) return;
     if (depth == plan.size()) {
-      GroundAssignment ga;
-      ga.rule = &rule;
-      ga.rule_index = rule_index;
-      ga.head =
-          rule.self_atom >= 0 ? atom_rows[rule.self_atom] : TupleId{};
-      ga.body = atom_rows;
+      ga.head = rule.self_atom >= 0 ? ga.body[rule.self_atom] : TupleId{};
       ++assignments_enumerated_;
       if (!cb(ga)) keep_going = false;
       return;
@@ -172,50 +177,36 @@ bool Grounder::EnumerateRule(const Rule& rule, int rule_index, BaseMatch bm,
                                        : rel_view.live(r);
     };
 
-    std::vector<uint32_t>& newly_bound = newly_bound_scratch[depth];
     auto try_row = [&](uint32_t r) {
-      if (!keep_going) return;
+      ++rows_visited;
       if (!member_ok(r)) return;
       const Tuple& row = rel.row(r);
-      // Verify bound positions and bind the rest; remember new bindings to
-      // undo on backtrack. Repeated variables within the atom are handled
-      // by sequential bind-then-verify.
-      newly_bound.clear();
-      bool ok = true;
-      for (size_t c = 0; c < atom.terms.size(); ++c) {
-        const Term& t = atom.terms[c];
-        if (t.is_const()) {
-          if (!(t.constant == row[c])) {
-            ok = false;
+      // Verify constants and earlier bindings, bind the rest. A variable
+      // bound here is simply overwritten by the next candidate row, so
+      // backtracking has nothing to undo.
+      for (const ColumnOp& op : step.ops) {
+        const Value& cell = row[op.column];
+        switch (op.kind) {
+          case ColumnOp::kConst:
+            if (!(*op.constant == cell)) return;
             break;
-          }
-        } else if (bindings.bound[t.var]) {
-          if (!(bindings.values[t.var] == row[c])) {
-            ok = false;
+          case ColumnOp::kCheck:
+            if (!(*values[op.var] == cell)) return;
             break;
-          }
-        } else {
-          bindings.values[t.var] = row[c];
-          bindings.bound[t.var] = 1;
-          newly_bound.push_back(t.var);
+          case ColumnOp::kBind:
+            values[op.var] = &cell;
+            break;
         }
       }
-      if (ok) {
-        for (int c : step.cmp_checks) {
-          const Comparison& cmp = rule.comparisons[c];
-          if (!EvalCmp(TermValue(cmp.lhs, bindings), cmp.op,
-                       TermValue(cmp.rhs, bindings))) {
-            ok = false;
-            break;
-          }
+      for (int c : step.cmp_checks) {
+        const Comparison& cmp = rule.comparisons[c];
+        if (!EvalCmp(TermValue(cmp.lhs, values), cmp.op,
+                     TermValue(cmp.rhs, values))) {
+          return;
         }
       }
-      if (ok) {
-        atom_rows[step.atom] = TupleId{rel_index, r};
-        self(self, depth + 1);
-      }
-      // Deeper steps reuse the scratch; only the bound flags need undoing.
-      for (uint32_t v : newly_bound_scratch[depth]) bindings.bound[v] = 0;
+      ga.body[step.atom] = TupleId{rel_index, r};
+      self(self, depth + 1);
     };
 
     if (depth == 0 && pivot_atom >= 0) {
@@ -226,32 +217,29 @@ bool Grounder::EnumerateRule(const Rule& rule, int rule_index, BaseMatch bm,
       }
     } else if (step.mask != 0) {
       if (step.index == nullptr) step.index = rel.EnsureIndex(step.mask);
-      // Build the probe tuple from the step's bound positions.
-      Tuple probe(atom.terms.size());
-      for (size_t c = 0; c < atom.terms.size(); ++c) {
-        if (step.mask & (1ULL << c)) {
-          probe[c] = TermValue(atom.terms[c], bindings);
-        }
+      // Hash the probe key straight from the constants and bindings.
+      uint64_t h = Relation::KeyHashSeed(step.mask);
+      for (const ColumnOp& op : step.key) {
+        const Value& v =
+            op.kind == ColumnOp::kConst ? *op.constant : *values[op.var];
+        h = HashCombine(h, v.Hash());
       }
-      const std::vector<uint32_t>* rows =
-          rel.Probe(step.index, step.mask, probe);
-      if (rows != nullptr) {
-        for (uint32_t r : *rows) {
-          if (!keep_going) break;
-          try_row(r);
-        }
+      ++probes;
+      for (uint32_t r = step.index->Head(h);
+           r != Relation::Index::kNone && keep_going;
+           r = step.index->Next(r)) {
+        try_row(r);
       }
     } else {
       const uint32_t n = static_cast<uint32_t>(rel_view.num_rows());
-      for (uint32_t r = 0; r < n; ++r) {
-        if (!keep_going) break;
-        try_row(r);
-      }
+      for (uint32_t r = 0; r < n && keep_going; ++r) try_row(r);
     }
   };
 
   recurse(recurse, 0);
   span.SetArg("assignments", assignments_enumerated_ - assignments_before);
+  span.SetArg("probes", probes);
+  span.SetArg("rows_visited", rows_visited);
   return keep_going;
 }
 

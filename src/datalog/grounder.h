@@ -8,6 +8,15 @@
 // grounders over per-thread views never race: index construction is the
 // only shared mutation and Relation::EnsureIndex serializes it.
 //
+// The join allocates nothing per probe or per assignment. A rule's plan
+// fixes, per step, which columns are checked against constants or
+// earlier bindings and which bind new variables; bindings are pointers
+// to the cells of the rows they came from (rows are immutable while
+// grounding), probe keys are hashed straight from those cells, and one
+// GroundAssignment per EnumerateRule call is overwritten at every leaf.
+// A callback therefore sees an assignment that is valid only for the
+// duration of the call: it must copy whatever it keeps.
+//
 // Two orthogonal matching modes select which tuples a body atom ranges
 // over:
 //  * BaseMatch  — base atoms R_i(Y) match live rows (stage/step/stability)
@@ -32,7 +41,9 @@ namespace deltarepair {
 enum class BaseMatch : uint8_t { kLive, kAllRows };
 enum class DeltaMatch : uint8_t { kCurrent, kHypothetical };
 
-/// One satisfying assignment of a rule body.
+/// One satisfying assignment of a rule body. The grounder reuses one
+/// instance for every assignment of an EnumerateRule call: it is valid
+/// only during the callback that receives it.
 struct GroundAssignment {
   const Rule* rule = nullptr;
   int rule_index = -1;
@@ -44,7 +55,8 @@ struct GroundAssignment {
   std::vector<TupleId> body;
 };
 
-/// Return false to stop enumeration early.
+/// Return false to stop enumeration early. The assignment is valid only
+/// during the call; copy what you keep.
 using AssignmentCallback = std::function<bool(const GroundAssignment&)>;
 
 class Grounder {
@@ -88,13 +100,28 @@ class Grounder {
   uint64_t assignments_enumerated() const { return assignments_enumerated_; }
 
  private:
+  /// What one column of a step's atom does with a candidate row's cell,
+  /// fixed by the plan's binding order (never by row values).
+  struct ColumnOp {
+    enum Kind : uint8_t { kConst, kCheck, kBind };
+    Kind kind = kConst;
+    uint32_t column = 0;
+    uint32_t var = 0;                   // kCheck / kBind
+    const Value* constant = nullptr;    // kConst
+  };
+
   struct PlanStep {
     int atom = -1;                // body atom index
     std::vector<int> cmp_checks;  // comparisons first fully bound here
+    // Per column, in column order: compare with a constant, compare with
+    // a variable bound earlier (by a previous step or an earlier column
+    // of this atom), or bind a fresh variable to the cell.
+    std::vector<ColumnOp> ops;
     // Probe mask over the atom's columns: a column is in the mask when
     // its term is a constant or a variable bound by an earlier step.
-    // Fixed per step (independent of row values).
     Relation::ColumnMask mask = 0;
+    // The masked columns' ops, in ascending column order: the probe key.
+    std::vector<ColumnOp> key;
     // Index for `mask`, resolved lazily at the step's first visit.
     const Relation::Index* index = nullptr;
   };

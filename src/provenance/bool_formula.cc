@@ -3,26 +3,30 @@
 namespace deltarepair {
 
 uint32_t DeletionCnfBuilder::VarOf(TupleId t) {
-  auto [it, added] =
-      var_of_.emplace(t.Pack(), static_cast<uint32_t>(tuple_of_.size()));
-  if (added) {
+  if (t.relation >= var_of_.size()) var_of_.resize(t.relation + 1);
+  std::vector<uint32_t>& rows = var_of_[t.relation];
+  if (t.row >= rows.size()) rows.resize(t.row + 1, kNoVar);
+  if (rows[t.row] == kNoVar) {
+    rows[t.row] = static_cast<uint32_t>(tuple_of_.size());
     tuple_of_.push_back(t);
-    cnf_.Touch(it->second);
+    cnf_.Touch(rows[t.row]);
   }
-  return it->second;
+  return rows[t.row];
 }
 
 int64_t DeletionCnfBuilder::FindVar(TupleId t) const {
-  auto it = var_of_.find(t.Pack());
-  return it == var_of_.end() ? -1 : static_cast<int64_t>(it->second);
+  if (t.relation >= var_of_.size()) return -1;
+  const std::vector<uint32_t>& rows = var_of_[t.relation];
+  if (t.row >= rows.size() || rows[t.row] == kNoVar) return -1;
+  return rows[t.row];
 }
 
-void DeletionCnfBuilder::AddAssignment(const GroundAssignment& ga) {
+void DeletionCnfBuilder::AddAssignment(const Rule& rule, const TupleId* body) {
   std::vector<Lit> lits;
-  lits.reserve(ga.body.size());
-  for (size_t i = 0; i < ga.body.size(); ++i) {
-    uint32_t v = VarOf(ga.body[i]);
-    lits.push_back(ga.rule->body[i].is_delta ? NegLit(v) : PosLit(v));
+  lits.reserve(rule.body.size());
+  for (size_t i = 0; i < rule.body.size(); ++i) {
+    uint32_t v = VarOf(body[i]);
+    lits.push_back(rule.body[i].is_delta ? NegLit(v) : PosLit(v));
   }
   cnf_.AddClause(std::move(lits));  // drops tautologies internally
 }

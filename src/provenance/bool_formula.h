@@ -17,9 +17,9 @@
 #define DELTAREPAIR_PROVENANCE_BOOL_FORMULA_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/status.h"
 #include "datalog/grounder.h"
 #include "sat/cnf.h"
 
@@ -30,7 +30,14 @@ class DeletionCnfBuilder {
   DeletionCnfBuilder() = default;
 
   /// Adds the clause of one (hypothetical) assignment.
-  void AddAssignment(const GroundAssignment& ga);
+  void AddAssignment(const GroundAssignment& ga) {
+    DR_CHECK_MSG(ga.body.size() == ga.rule->body.size(),
+                 "assignment does not match its rule");
+    AddAssignment(*ga.rule, ga.body.data());
+  }
+  /// Same, for an assignment stored flat: `body` holds one row per atom of
+  /// `rule`'s body, in body order.
+  void AddAssignment(const Rule& rule, const TupleId* body);
 
   /// The accumulated CNF ¬F (deletion polarity).
   const Cnf& cnf() const { return cnf_; }
@@ -68,7 +75,9 @@ class DeletionCnfBuilder {
  private:
   Cnf cnf_;
   Cnf::NormalizeStats normalize_stats_;
-  std::unordered_map<uint64_t, uint32_t> var_of_;  // packed TupleId -> var
+  static constexpr uint32_t kNoVar = UINT32_MAX;
+
+  std::vector<std::vector<uint32_t>> var_of_;  // [relation][row] -> var
   std::vector<TupleId> tuple_of_;
 };
 

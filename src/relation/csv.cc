@@ -10,13 +10,24 @@ namespace deltarepair {
 
 Status LoadCsvIntoDatabase(Database* db, const std::string& relation_name,
                            const std::string& csv_text) {
-  std::vector<std::string> lines = Split(csv_text, '\n');
-  if (lines.empty() || Trim(lines[0]).empty()) {
+  // Lines and cells are views into `csv_text`: the only per-row heap
+  // allocation is the stored tuple, so an import leaves no freed
+  // temporaries interleaved with the rows.
+  size_t pos = 0;
+  auto take_line = [&]() {
+    size_t end = csv_text.find('\n', pos);
+    if (end == std::string::npos) end = csv_text.size();
+    std::string_view line(csv_text.data() + pos, end - pos);
+    pos = end + 1;
+    return line;
+  };
+  const std::string_view header = Trim(take_line());
+  if (header.empty()) {
     return Status::InvalidArgument("empty CSV for " + relation_name);
   }
   // Schema line: name:type fields.
   std::vector<Attribute> attrs;
-  for (const std::string& field : Split(std::string(Trim(lines[0])), ',')) {
+  for (const std::string& field : Split(header, ',')) {
     std::vector<std::string> parts = Split(field, ':');
     if (parts.empty() || Trim(parts[0]).empty()) {
       return Status::InvalidArgument("bad schema field '" + field + "'");
@@ -34,6 +45,11 @@ Status LoadCsvIntoDatabase(Database* db, const std::string& relation_name,
     }
     attrs.push_back(std::move(attr));
   }
+  if (attrs.size() > kMaxArity) {
+    return Status::InvalidArgument(
+        StrFormat("relation %s has %zu columns; at most %zu are supported",
+                  relation_name.c_str(), attrs.size(), kMaxArity));
+  }
   if (db->RelationIndex(relation_name) >= 0) {
     return Status::AlreadyExists("relation " + relation_name);
   }
@@ -41,14 +57,23 @@ Status LoadCsvIntoDatabase(Database* db, const std::string& relation_name,
       db->AddRelation(RelationSchema(relation_name, std::move(attrs)));
   const RelationSchema& schema = db->relation(rel).schema();
 
-  for (size_t i = 1; i < lines.size(); ++i) {
-    std::string_view line = Trim(lines[i]);
+  std::vector<std::string_view> cells;
+  for (size_t line_no = 2; pos <= csv_text.size(); ++line_no) {
+    const std::string_view line = Trim(take_line());
     if (line.empty()) continue;
-    std::vector<std::string> cells = Split(std::string(line), ',');
+    cells.clear();
+    for (size_t begin = 0;;) {
+      const size_t comma = line.find(',', begin);
+      cells.push_back(line.substr(begin, comma == std::string_view::npos
+                                             ? std::string_view::npos
+                                             : comma - begin));
+      if (comma == std::string_view::npos) break;
+      begin = comma + 1;
+    }
     if (cells.size() != schema.arity()) {
       return Status::InvalidArgument(
           StrFormat("%s line %zu: expected %zu cells, got %zu",
-                    relation_name.c_str(), i + 1, schema.arity(),
+                    relation_name.c_str(), line_no, schema.arity(),
                     cells.size()));
     }
     Tuple tuple;
@@ -61,7 +86,7 @@ Status LoadCsvIntoDatabase(Database* db, const std::string& relation_name,
         if (end == cell.c_str() || *end != '\0') {
           return Status::InvalidArgument(
               StrFormat("%s line %zu: '%s' is not an integer",
-                        relation_name.c_str(), i + 1, cell.c_str()));
+                        relation_name.c_str(), line_no, cell.c_str()));
         }
         tuple.emplace_back(static_cast<int64_t>(v));
       } else {

@@ -48,6 +48,7 @@ Database& Database::operator=(Database&& other) noexcept {
 
 uint32_t Database::AddRelation(RelationSchema schema) {
   DR_CHECK_MSG(!by_name_.count(schema.name()), "duplicate relation name");
+  DR_CHECK_MSG(schema.arity() <= kMaxArity, "relation wider than kMaxArity");
   uint32_t idx = static_cast<uint32_t>(relations_.size());
   by_name_[schema.name()] = idx;
   relations_.emplace_back(std::move(schema));

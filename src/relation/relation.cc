@@ -19,14 +19,14 @@ inline uint64_t NormHash(uint64_t h) { return h == 0 ? 1 : h; }
 
 }  // namespace
 
-void DedupeTable::Reserve(size_t n) {
+void RowHashTable::Reserve(size_t n) {
   size_t want = 16;
   while (want < n * 2) want <<= 1;  // keep load factor under 1/2
   if (want > slot_hash_.size()) Grow(want);
   if (n > next_.size()) next_.reserve(n);
 }
 
-uint32_t DedupeTable::Head(uint64_t h) const {
+uint32_t RowHashTable::Head(uint64_t h) const {
   if (slot_hash_.empty()) return kNone;
   const uint64_t hn = NormHash(h);
   size_t i = SlotFor(hn, slot_hash_.size());
@@ -37,62 +37,50 @@ uint32_t DedupeTable::Head(uint64_t h) const {
   return kNone;
 }
 
-void DedupeTable::Add(uint64_t h, uint32_t r) {
+void RowHashTable::Add(uint64_t h, uint32_t r) {
   if (slot_hash_.empty() || (size_ + 1) * 2 > slot_hash_.size()) {
     Grow(slot_hash_.empty() ? 16 : slot_hash_.size() * 2);
   }
   if (r >= next_.size()) next_.resize(r + 1, kNone);
-  const uint64_t hn = NormHash(h);
+  Insert(NormHash(h), r);
+}
+
+void RowHashTable::Insert(uint64_t hn, uint32_t r) {
+  const size_t mask = slot_hash_.size() - 1;
   size_t i = SlotFor(hn, slot_hash_.size());
-  while (slot_hash_[i] != 0) {
+  for (; slot_hash_[i] != 0; i = (i + 1) & mask) {
     if (slot_hash_[i] == hn) {
-      // Same full-tuple hash: chain the new row in front.
-      next_[r] = slot_head_[i];
-      slot_head_[i] = r;
+      // Same hash: rows arrive in increasing order, link at the tail.
+      next_[slot_tail_[i]] = r;
+      slot_tail_[i] = r;
+      next_[r] = kNone;
       return;
     }
-    i = (i + 1) & (slot_hash_.size() - 1);
   }
   slot_hash_[i] = hn;
   slot_head_[i] = r;
+  slot_tail_[i] = r;
   next_[r] = kNone;
   ++size_;
 }
 
 template <typename GetHash>
-void DedupeTable::BuildImpl(GetHash&& get_hash, uint32_t n) {
+void RowHashTable::BuildImpl(GetHash&& get_hash, uint32_t n) {
   slot_hash_.clear();
   slot_head_.clear();
+  slot_tail_.clear();
   next_.clear();
   size_ = 0;
   Reserve(n);
   next_.assign(n, kNone);
-  const size_t mask = slot_hash_.size() - 1;
-  for (uint32_t r = 0; r < n; ++r) {
-    const uint64_t hn = NormHash(get_hash(r));
-    size_t i = static_cast<size_t>(hn) & mask;
-    for (;;) {
-      if (slot_hash_[i] == 0) {
-        slot_hash_[i] = hn;
-        slot_head_[i] = r;
-        ++size_;
-        break;
-      }
-      if (slot_hash_[i] == hn) {
-        next_[r] = slot_head_[i];
-        slot_head_[i] = r;
-        break;
-      }
-      i = (i + 1) & mask;
-    }
-  }
+  for (uint32_t r = 0; r < n; ++r) Insert(NormHash(get_hash(r)), r);
 }
 
-void DedupeTable::BuildFrom(const uint64_t* hashes, uint32_t n) {
+void RowHashTable::BuildFrom(const uint64_t* hashes, uint32_t n) {
   BuildImpl([hashes](uint32_t r) { return hashes[r]; }, n);
 }
 
-void DedupeTable::BuildFromLe(const unsigned char* le_hashes, uint32_t n) {
+void RowHashTable::BuildFromLe(const unsigned char* le_hashes, uint32_t n) {
   BuildImpl(
       [le_hashes](uint32_t r) {
         const unsigned char* p = le_hashes + r * 8;
@@ -105,17 +93,20 @@ void DedupeTable::BuildFromLe(const unsigned char* le_hashes, uint32_t n) {
       n);
 }
 
-void DedupeTable::Grow(size_t min_slots) {
+void RowHashTable::Grow(size_t min_slots) {
   std::vector<uint64_t> old_hash = std::move(slot_hash_);
   std::vector<uint32_t> old_head = std::move(slot_head_);
+  std::vector<uint32_t> old_tail = std::move(slot_tail_);
   slot_hash_.assign(min_slots, 0);
   slot_head_.assign(min_slots, kNone);
+  slot_tail_.assign(min_slots, kNone);
   for (size_t s = 0; s < old_hash.size(); ++s) {
     if (old_hash[s] == 0) continue;
     size_t i = SlotFor(old_hash[s], slot_hash_.size());
     while (slot_hash_[i] != 0) i = (i + 1) & (slot_hash_.size() - 1);
     slot_hash_[i] = old_hash[s];
     slot_head_[i] = old_head[s];
+    slot_tail_[i] = old_tail[s];
   }
 }
 
@@ -154,21 +145,19 @@ Relation& Relation::operator=(Relation&& other) noexcept {
 InsertResult Relation::InternRow(Tuple t) {
   DR_CHECK_MSG(t.size() == schema_.arity(), "arity mismatch on insert");
   uint64_t h = HashTuple(t);
-  for (uint32_t r = dedupe_.Head(h); r != DedupeTable::kNone;
+  for (uint32_t r = dedupe_.Head(h); r != RowHashTable::kNone;
        r = dedupe_.Next(r)) {
     if (rows_[r] == t) return InsertResult{r, false};
   }
   uint32_t r = static_cast<uint32_t>(rows_.size());
   // Maintain any existing indexes incrementally.
-  for (auto& [mask, index] : indexes_) {
-    index[KeyHash(mask, t)].push_back(r);
-  }
+  for (auto& [mask, index] : indexes_) index.Add(KeyHash(mask, t), r);
   rows_.push_back(std::move(t));
   dedupe_.Add(h, r);
   return InsertResult{r, true};
 }
 
-void Relation::BulkLoadRows(std::vector<Tuple> rows, DedupeTable dedupe) {
+void Relation::BulkLoadRows(std::vector<Tuple> rows, RowHashTable dedupe) {
   DR_CHECK_MSG(rows_.empty() && dedupe_.empty() && indexes_.empty(),
                "BulkLoadRows on non-empty relation");
   DR_CHECK_MSG(rows.size() == dedupe.num_rows(),
@@ -182,7 +171,7 @@ void Relation::BulkLoadRows(std::vector<Tuple> rows, DedupeTable dedupe) {
 
 int64_t Relation::FindRow(const Tuple& t) const {
   uint64_t h = HashTuple(t);
-  for (uint32_t r = dedupe_.Head(h); r != DedupeTable::kNone;
+  for (uint32_t r = dedupe_.Head(h); r != RowHashTable::kNone;
        r = dedupe_.Next(r)) {
     if (rows_[r] == t) return r;
   }
@@ -190,7 +179,7 @@ int64_t Relation::FindRow(const Tuple& t) const {
 }
 
 uint64_t Relation::KeyHash(ColumnMask mask, const Tuple& t) const {
-  uint64_t h = 0x6b657948ULL ^ Mix64(mask);
+  uint64_t h = KeyHashSeed(mask);
   for (size_t c = 0; c < t.size(); ++c) {
     if (mask & (1ULL << c)) h = HashCombine(h, t[c].Hash());
   }
@@ -202,31 +191,10 @@ const Relation::Index* Relation::EnsureIndex(ColumnMask mask) const {
   auto it = indexes_.find(mask);
   if (it != indexes_.end()) return &it->second;
   Index& index = indexes_[mask];
-  index.reserve(rows_.size());
   for (uint32_t r = 0; r < rows_.size(); ++r) {
-    index[KeyHash(mask, rows_[r])].push_back(r);
+    index.Add(KeyHash(mask, rows_[r]), r);
   }
   return &index;
-}
-
-const std::vector<uint32_t>* Relation::Probe(
-    const Index* index, ColumnMask mask, const Tuple& full_binding) const {
-  DR_CHECK_MSG(index != nullptr, "Probe before EnsureIndex");
-  auto it = index->find(KeyHash(mask, full_binding));
-  if (it == index->end()) return nullptr;
-  return &it->second;
-}
-
-const std::vector<uint32_t>* Relation::Probe(
-    ColumnMask mask, const Tuple& full_binding) const {
-  const Index* index = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(index_mu_);
-    auto it = indexes_.find(mask);
-    DR_CHECK_MSG(it != indexes_.end(), "Probe before EnsureIndex");
-    index = &it->second;
-  }
-  return Probe(index, mask, full_binding);
 }
 
 std::string Relation::ToString() const {

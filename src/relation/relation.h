@@ -1,5 +1,5 @@
 // Relation: the immutable storage core of a relation — an append-only,
-// set-semantics row store (rows, schema, full-tuple dedupe map) plus
+// set-semantics row store (rows, schema, full-tuple dedupe table) plus
 // lazily built hash indexes over arbitrary column subsets. Row slots are
 // never removed, which keeps TupleIds and index entries stable while
 // repair semantics flip membership. Which rows are currently *live* in
@@ -8,13 +8,25 @@
 // (relation/instance_view.h), so any number of concurrent repair runs
 // share one copy of the rows and indexes.
 //
+// Index layout: one flat open-addressed table (RowHashTable) per column
+// mask, mapping a key hash to the head and tail of a chain of row slots
+// threaded through a per-row next link. Chains hold rows in ascending
+// slot order — the build walks rows in order and InternRow appends at
+// the tail — so a probe yields its matches in the order a full scan
+// would. Join enumeration order, and every result built from it, does
+// not depend on the index. Probes pass a key hash (KeyHashSeed folded
+// with each key column's Value::Hash), so a caller holding the key
+// values elsewhere (the grounder's bindings) hashes them in place
+// without materializing a Tuple.
+//
 // Thread model:
-//  * InternRow mutates storage (rows, dedupe map, index maintenance) and
+//  * InternRow mutates storage (rows, dedupe table, index maintenance) and
 //    must not run concurrently with readers — loading/insertion is a
 //    single-threaded phase.
 //  * EnsureIndex is safe to call from concurrent readers: the first
 //    caller builds the index under a mutex, later callers get a stable
-//    pointer to the finished (from then on read-only) index.
+//    pointer to the finished index, which they then read without locks
+//    (it is read-only until the next InternRow).
 #ifndef DELTAREPAIR_RELATION_RELATION_H_
 #define DELTAREPAIR_RELATION_RELATION_H_
 
@@ -23,6 +35,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"
 #include "relation/schema.h"
 #include "relation/tuple.h"
 
@@ -35,12 +48,14 @@ struct InsertResult {
   bool inserted = false;
 };
 
-/// Flat open-addressed map from full-tuple hash to the row slots bearing
-/// that hash. Replaces an unordered_map<u64, vector<u32>>: one slot
-/// array plus one per-row chain link, so interning and bulk loads do no
-/// per-entry heap allocation (snapshot recovery builds this table for
-/// every relation on startup).
-class DedupeTable {
+/// Flat open-addressed map from a 64-bit hash to the chain of row slots
+/// recorded under it: one slot array plus one per-row chain link, so
+/// inserts and bulk loads do no per-entry heap allocation. Chains are in
+/// ascending row order (rows are added in increasing order and appended
+/// at the tail). Serves as a relation's full-tuple dedupe table
+/// (snapshot recovery builds one per relation on startup) and as each
+/// join index (Relation::Index).
+class RowHashTable {
  public:
   static constexpr uint32_t kNone = UINT32_MAX;
 
@@ -52,13 +67,14 @@ class DedupeTable {
   /// Pre-sizes the slot array for `n` distinct hashes.
   void Reserve(size_t n);
 
-  /// First row slot recorded under `h`, or kNone. Follow Next() for the
-  /// (rare) further rows sharing the hash.
+  /// First (lowest) row slot recorded under `h`, or kNone. Follow Next()
+  /// for further rows sharing the hash.
   uint32_t Head(uint64_t h) const;
+  /// Next row slot on `row`'s chain, ascending; kNone at the tail.
   uint32_t Next(uint32_t row) const { return next_[row]; }
 
-  /// Records row `r` under hash `h`. Rows must be added with strictly
-  /// increasing `r` (the row-slot counter).
+  /// Records row `r` under hash `h`, at the tail of its chain. Rows must
+  /// be added with strictly increasing `r` (the row-slot counter).
   void Add(uint64_t h, uint32_t r);
 
   /// Bulk build: replaces any contents with rows 0..n-1 under `hashes`.
@@ -73,19 +89,22 @@ class DedupeTable {
 
  private:
   void Grow(size_t min_slots);
+  /// Links row `r` under normalized hash `hn`, assuming a free slot.
+  void Insert(uint64_t hn, uint32_t r);
 
   // Shared BuildFrom/BuildFromLe loop; get_hash(r) yields row r's hash.
   // Defined in relation.cc — both instantiations live there.
   template <typename GetHash>
   void BuildImpl(GetHash&& get_hash, uint32_t n);
 
-  // Parallel slot arrays (power-of-two length); probing scans only
-  // slot_hash_, so the probe working set is half of what a combined
-  // {hash, head} struct array would touch. Hash 0 marks an empty slot;
-  // real hashes are nudged to 1 (chains tolerate hash collisions — all
-  // callers verify tuple equality).
+  // Parallel slot arrays (power-of-two length, load factor <= 1/2);
+  // probing scans only slot_hash_, so the probe working set is a third of
+  // what a combined {hash, head, tail} struct array would touch. Hash 0
+  // marks an empty slot; real hashes are nudged to 1 (chains tolerate
+  // hash collisions — all callers verify the row's key).
   std::vector<uint64_t> slot_hash_;
   std::vector<uint32_t> slot_head_;
+  std::vector<uint32_t> slot_tail_;
   std::vector<uint32_t> next_;  // per-row chain link
   size_t size_ = 0;  // occupied slots
 };
@@ -127,30 +146,29 @@ class Relation {
   /// `rows` under their HashTuple hashes — the snapshot loader
   /// validates its checksums before trusting them. Single-threaded,
   /// like InternRow; every row's arity must match.
-  void BulkLoadRows(std::vector<Tuple> rows, DedupeTable dedupe);
+  void BulkLoadRows(std::vector<Tuple> rows, RowHashTable dedupe);
 
-  /// Bitmask with bit c set for each indexed column c.
+  /// Bitmask with bit c set for each indexed column c (c < kMaxArity).
   using ColumnMask = uint64_t;
-  /// Key hash -> row slots with that hash, over one column mask.
-  using Index = std::unordered_map<uint64_t, std::vector<uint32_t>>;
+
+  /// Hash index over one column mask: key hash -> rows (see the file
+  /// comment). Walk a probe's candidates with
+  ///   for (r = index->Head(h); r != Index::kNone; r = index->Next(r))
+  /// Candidates share the key *hash*; callers verify the key values.
+  using Index = RowHashTable;
 
   /// Returns the hash index over the columns in `mask`, building it on
   /// first use (over all row slots; callers filter by view liveness at
-  /// probe time). Thread-safe; the returned pointer stays valid and the
-  /// index read-only for the relation's lifetime.
+  /// probe time). Thread-safe; the returned pointer stays valid for the
+  /// relation's lifetime and the index is read-only between InternRows.
   const Index* EnsureIndex(ColumnMask mask) const;
 
-  /// Rows of `index` whose `mask` columns hash-match `full_binding`
-  /// (collisions possible; the caller must verify values). Returns
-  /// nullptr when no row matches. Lock-free: `index` came from
-  /// EnsureIndex and is immutable.
-  const std::vector<uint32_t>* Probe(const Index* index, ColumnMask mask,
-                                     const Tuple& full_binding) const;
-
-  /// Convenience probe resolving the index by mask (requires a prior
-  /// EnsureIndex with the same mask).
-  const std::vector<uint32_t>* Probe(ColumnMask mask,
-                                     const Tuple& full_binding) const;
+  /// Starting value of a probe key hash over `mask`; fold each masked
+  /// column's Value::Hash() into it with HashCombine in ascending column
+  /// order. Index chains are keyed by exactly this hash.
+  static uint64_t KeyHashSeed(ColumnMask mask) {
+    return 0x6b657948ULL ^ Mix64(mask);
+  }
 
   /// Debug rendering of all stored row slots (small relations only);
   /// liveness-aware rendering lives on the views.
@@ -163,10 +181,11 @@ class Relation {
   std::vector<Tuple> rows_;
   // Full-tuple hash -> row slots with that hash (for set-semantics
   // interning).
-  DedupeTable dedupe_;
-  // Column-mask -> index. Guarded by index_mu_ for map lookups/inserts;
-  // each Index is immutable once built (InternRow maintains existing
-  // indexes, but never runs concurrently with readers).
+  RowHashTable dedupe_;
+  // Column-mask -> index. Guarded by index_mu_ for map lookups/inserts
+  // (node-based, so Index pointers survive later inserts); each Index is
+  // read-only once built (InternRow maintains existing indexes, but never
+  // runs concurrently with readers).
   mutable std::unordered_map<ColumnMask, Index> indexes_;
   mutable std::mutex index_mu_;
 };

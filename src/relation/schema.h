@@ -14,6 +14,12 @@
 
 namespace deltarepair {
 
+/// Widest relation the engine supports. Join plans and hash indexes name
+/// a relation's column subsets by a 64-bit mask, so every entry point
+/// that creates relations (CSV import, the snapshot decoder, the request
+/// codec) rejects wider ones.
+inline constexpr size_t kMaxArity = 64;
+
 /// One attribute: name + type.
 struct Attribute {
   std::string name;

@@ -15,19 +15,6 @@ const std::string& Value::AsString() const {
   return str_;
 }
 
-bool Value::operator==(const Value& other) const {
-  if (type_ != other.type_) return false;
-  switch (type_) {
-    case ValueType::kNull:
-      return true;
-    case ValueType::kInt:
-      return int_ == other.int_;
-    case ValueType::kString:
-      return str_ == other.str_;
-  }
-  return false;
-}
-
 bool Value::operator<(const Value& other) const {
   if (type_ != other.type_) {
     return static_cast<uint8_t>(type_) < static_cast<uint8_t>(other.type_);
@@ -43,16 +30,8 @@ bool Value::operator<(const Value& other) const {
   return false;
 }
 
-uint64_t Value::Hash() const {
-  switch (type_) {
-    case ValueType::kNull:
-      return 0x6e756c6cULL;
-    case ValueType::kInt:
-      return Mix64(static_cast<uint64_t>(int_) ^ 0x1234abcdULL);
-    case ValueType::kString:
-      return HashBytes(str_);
-  }
-  return 0;
+uint64_t Value::NonIntHash() const {
+  return type_ == ValueType::kString ? HashBytes(str_) : 0x6e756c6cULL;
 }
 
 std::string Value::ToString() const {

@@ -9,6 +9,8 @@
 #include <string>
 #include <string_view>
 
+#include "common/hash.h"
+
 namespace deltarepair {
 
 enum class ValueType : uint8_t { kNull = 0, kInt = 1, kString = 2 };
@@ -32,7 +34,13 @@ class Value {
   /// String payload; only valid when is_string().
   const std::string& AsString() const;
 
-  bool operator==(const Value& other) const;
+  // Equality and the int hash are inline: the join's per-row checks and
+  // probe-key hashing call them once per bound column.
+  bool operator==(const Value& other) const {
+    if (type_ != other.type_) return false;
+    if (type_ == ValueType::kInt) return int_ == other.int_;
+    return type_ == ValueType::kNull || str_ == other.str_;
+  }
   bool operator!=(const Value& other) const { return !(*this == other); }
   /// Total order: null < int < string; within type, natural order.
   bool operator<(const Value& other) const;
@@ -41,12 +49,18 @@ class Value {
   bool operator>=(const Value& other) const { return !(*this < other); }
 
   /// Stable 64-bit hash (used by tuple hashing and index keys).
-  uint64_t Hash() const;
+  uint64_t Hash() const {
+    return type_ == ValueType::kInt
+               ? Mix64(static_cast<uint64_t>(int_) ^ 0x1234abcdULL)
+               : NonIntHash();
+  }
 
   /// Rendering: ints bare, strings single-quoted, null as "null".
   std::string ToString() const;
 
  private:
+  uint64_t NonIntHash() const;
+
   ValueType type_;
   int64_t int_;
   std::string str_;

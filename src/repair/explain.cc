@@ -1,30 +1,30 @@
 #include "repair/explain.h"
 
-#include <unordered_set>
-
 #include "common/string_util.h"
 
 namespace deltarepair {
 
 namespace {
 
-/// Depth-first construction; emits steps in dependency order.
+/// Depth-first construction; emits steps in dependency order. `visited`
+/// is indexed by delta node.
 bool Explain(const ProvenanceGraph& graph, TupleId t,
-             std::unordered_set<uint64_t>* visited, Explanation* out) {
-  if (!visited->insert(t.Pack()).second) return true;  // already explained
-  const DeltaNode* node = graph.FindDeltaNode(t);
-  if (node == nullptr || node->derivations.empty()) return false;
+             std::vector<uint8_t>* visited, Explanation* out) {
+  const uint32_t node = graph.FindDeltaNode(t);
+  if (node == ProvenanceGraph::kNoNode) return false;
+  if ((*visited)[node]) return true;  // already explained
+  (*visited)[node] = 1;
   // The first recorded derivation is the earliest (lowest layer): a
   // minimal-depth proof under semi-naive evaluation.
-  const ProvAssignment& pa = graph.assignment(node->derivations.front());
+  const uint32_t a = graph.Derivations(node).front();
   ExplanationStep step;
-  step.rule_index = pa.rule_index;
+  step.rule_index = graph.rule_index(a);
   step.derived = t;
-  for (size_t i = 0; i < pa.body.size(); ++i) {
-    if (pa.body_is_delta[i]) {
-      step.deltas.push_back(pa.body[i]);
+  for (size_t i = 0; i < graph.body_size(a); ++i) {
+    if (graph.body_is_delta(a, i)) {
+      step.deltas.push_back(graph.body(a, i));
     } else {
-      step.bases.push_back(pa.body[i]);
+      step.bases.push_back(graph.body(a, i));
     }
   }
   // Explain supporting deletions first (dependency order).
@@ -40,7 +40,7 @@ bool Explain(const ProvenanceGraph& graph, TupleId t,
 std::optional<Explanation> ExplainDeletion(const ProvenanceGraph& graph,
                                            TupleId t) {
   Explanation out;
-  std::unordered_set<uint64_t> visited;
+  std::vector<uint8_t> visited(graph.num_delta_nodes(), 0);
   if (!Explain(graph, t, &visited, &out)) return std::nullopt;
   return out;
 }

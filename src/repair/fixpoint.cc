@@ -49,6 +49,38 @@ void RecordDerivation(FixpointCache* cache, const GroundAssignment& ga) {
   cache->active.push_back(1);
 }
 
+/// Heads derived in the current round but not yet applied (snapshot
+/// evaluation: rounds never observe same-round derivations), deduplicated
+/// by per-relation row marks.
+class PendingHeads {
+ public:
+  explicit PendingHeads(const InstanceView& view)
+      : marks_(view.num_relations()) {
+    for (uint32_t rel = 0; rel < marks_.size(); ++rel) {
+      marks_[rel].assign(view.relation(rel).num_rows(), 0);
+    }
+  }
+
+  void Add(TupleId t) {
+    uint8_t& mark = marks_[t.relation][t.row];
+    if (mark) return;
+    mark = 1;
+    heads_.push_back(t);
+  }
+
+  bool empty() const { return heads_.empty(); }
+  const std::vector<TupleId>& heads() const { return heads_; }
+
+  void Clear() {
+    for (const TupleId& t : heads_) marks_[t.relation][t.row] = 0;
+    heads_.clear();
+  }
+
+ private:
+  std::vector<std::vector<uint8_t>> marks_;
+  std::vector<TupleId> heads_;
+};
+
 }  // namespace
 
 void FixpointCache::Clear() {
@@ -72,20 +104,14 @@ bool RunSemiNaiveFixpoint(InstanceView* view, const Program& program,
   Grounder grounder(view);
   const auto& rules = program.rules();
 
-  // Heads derived this round but not yet applied (snapshot evaluation:
-  // rounds never observe same-round derivations).
-  std::vector<TupleId> pending;
-  std::unordered_set<uint64_t> pending_set;
+  PendingHeads pending(*view);
   int round = 1;
 
   auto handle = [&](const GroundAssignment& ga) {
     if (ctx->Tick()) return false;  // budget/cancel: stop enumerating
     if (prov != nullptr) prov->AddAssignment(ga, round);
     if (cache != nullptr) RecordDerivation(cache, ga);
-    if (!view->delta(ga.head) && !pending_set.count(ga.head.Pack())) {
-      pending_set.insert(ga.head.Pack());
-      pending.push_back(ga.head);
-    }
+    if (!view->delta(ga.head)) pending.Add(ga.head);
     return true;
   };
 
@@ -104,7 +130,7 @@ bool RunSemiNaiveFixpoint(InstanceView* view, const Program& program,
   std::vector<std::vector<uint32_t>> recent(view->num_relations());
   while (!pending.empty() && !ctx->ShouldStop()) {
     for (auto& v : recent) v.clear();
-    for (const TupleId& t : pending) {
+    for (const TupleId& t : pending.heads()) {
       if (delete_between_rounds) {
         view->MarkDeleted(t);  // stage: D^t = D^{t-1} \ ∆^t
       } else {
@@ -112,8 +138,7 @@ bool RunSemiNaiveFixpoint(InstanceView* view, const Program& program,
       }
       recent[t.relation].push_back(t.row);
     }
-    pending.clear();
-    pending_set.clear();
+    pending.Clear();
     ++round;
 
     Span round_span("fixpoint.round");
@@ -219,18 +244,14 @@ bool RunSemiNaiveFixpoint(InstanceView* view, const Program& program,
   // naive rounds then extend over newly derived heads as usual.
   Grounder grounder(view);
   const auto& rules = program.rules();
-  std::vector<TupleId> pending;
-  std::unordered_set<uint64_t> pending_set;
+  PendingHeads pending(*view);
   int round = 1;
   bool interrupted = false;
 
   auto handle = [&](const GroundAssignment& ga) {
     if (ctx->Tick()) return false;
     RecordDerivation(cache, ga);
-    if (!view->delta(ga.head) && !pending_set.count(ga.head.Pack())) {
-      pending_set.insert(ga.head.Pack());
-      pending.push_back(ga.head);
-    }
+    if (!view->delta(ga.head)) pending.Add(ga.head);
     return true;
   };
 
@@ -255,12 +276,11 @@ bool RunSemiNaiveFixpoint(InstanceView* view, const Program& program,
   std::vector<std::vector<uint32_t>> recent(view->num_relations());
   while (!pending.empty() && !ctx->ShouldStop() && !interrupted) {
     for (auto& v : recent) v.clear();
-    for (const TupleId& t : pending) {
+    for (const TupleId& t : pending.heads()) {
       view->SetDelta(t);
       recent[t.relation].push_back(t.row);
     }
-    pending.clear();
-    pending_set.clear();
+    pending.Clear();
     ++round;
     for (size_t i = 0; i < rules.size(); ++i) {
       const Rule& rule = rules[i];

@@ -8,18 +8,6 @@
 
 namespace deltarepair {
 
-namespace {
-
-/// One stored hypothetical assignment: body tuples plus per-position
-/// delta polarity (kept flat so the Eval and Process Prov phases of
-/// Figure 8 are separately measurable, as in the paper's prototype).
-struct StoredAssignment {
-  const Rule* rule;
-  std::vector<TupleId> body;
-};
-
-}  // namespace
-
 RepairResult IndependentSemantics::Run(InstanceView* view, const Program& program,
                                        const RepairOptions& options,
                                        ExecContext* ctx) const {
@@ -29,8 +17,12 @@ RepairResult IndependentSemantics::Run(InstanceView* view, const Program& progra
 
   // Phase 1 (Eval): enumerate all possible assignments, with delta atoms
   // ranging over hypothetical deletions of any live tuple (line 1 of
-  // Algorithm 1), and store them as raw provenance.
-  std::vector<StoredAssignment> stored;
+  // Algorithm 1), and store them as raw provenance — flat, so the Eval
+  // and Process Prov phases of Figure 8 stay separately measurable, as in
+  // the paper's prototype: per assignment its rule, and its body rows
+  // appended to one array (the rule's body length delimits them).
+  std::vector<const Rule*> stored_rules;
+  std::vector<TupleId> stored_bodies;
   {
     ScopedTimer t(&result.stats.eval_seconds);
     Grounder grounder(view);
@@ -39,8 +31,10 @@ RepairResult IndependentSemantics::Run(InstanceView* view, const Program& progra
                              BaseMatch::kLive, DeltaMatch::kHypothetical,
                              [&](const GroundAssignment& ga) {
                                if (ctx->Tick()) return false;
-                               stored.push_back(
-                                   StoredAssignment{ga.rule, ga.body});
+                               stored_rules.push_back(ga.rule);
+                               stored_bodies.insert(stored_bodies.end(),
+                                                    ga.body.begin(),
+                                                    ga.body.end());
                                return true;
                              });
     }
@@ -66,12 +60,11 @@ RepairResult IndependentSemantics::Run(InstanceView* view, const Program& progra
   DeletionCnfBuilder builder;
   {
     ScopedTimer t(&result.stats.process_prov_seconds);
-    GroundAssignment ga;
-    for (const StoredAssignment& sa : stored) {
+    const TupleId* body = stored_bodies.data();
+    for (const Rule* rule : stored_rules) {
       if (ctx->Tick()) break;
-      ga.rule = sa.rule;
-      ga.body = sa.body;
-      builder.AddAssignment(ga);
+      builder.AddAssignment(*rule, body);
+      body += rule->body.size();
     }
     if (!ctx->stopped()) builder.Normalize();
   }

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/hash.h"
 #include "common/timer.h"
@@ -20,70 +17,75 @@ namespace {
 /// 4-9). A delta node dies ("is pruned") when every assignment deriving it
 /// is dead; an assignment dies when it uses a chosen tuple as a non-self
 /// base tuple, or a pruned delta tuple. Chosen tuples' own delta nodes are
-/// never pruned — they are exactly what remains at the end.
+/// never pruned — they are exactly what remains at the end. All state is
+/// in arrays indexed by node or assignment id.
 class GreedyTraversal {
  public:
   GreedyTraversal(const ProvenanceGraph& graph, StepOrdering ordering,
                   uint64_t seed)
       : graph_(graph), ordering_(ordering), seed_(seed) {
-    for (const auto& [packed, node] : graph.delta_nodes()) {
-      live_derivations_[packed] = node.derivations.size();
+    const uint32_t n = static_cast<uint32_t>(graph.num_delta_nodes());
+    live_derivations_.resize(n);
+    for (uint32_t node = 0; node < n; ++node) {
+      live_derivations_[node] =
+          static_cast<uint32_t>(graph.Derivations(node).size());
     }
     assignment_dead_.assign(graph.num_assignments(), 0);
+    chosen_.assign(n, 0);
+    pruned_.assign(n, 0);
   }
 
   std::vector<TupleId> Run(ExecContext* ctx) {
-    const int layers = graph_.num_layers();
-    // Per layer: max-heap of (benefit, packed id) with lazy invalidation.
-    using Entry = std::pair<int64_t, uint64_t>;
-    auto cmp = [](const Entry& a, const Entry& b) {
-      if (a.first != b.first) return a.first < b.first;  // max benefit first
-      return a.second > b.second;  // then smallest id (determinism)
+    // Visit order: layer by layer; within a layer max benefit first, then
+    // smallest tuple id (determinism). Benefits are fixed up front, so
+    // one sort replaces a per-layer heap with lazy invalidation.
+    struct Entry {
+      int layer;
+      int64_t key;
+      uint64_t packed;
+      uint32_t node;
     };
-    std::vector<std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)>>
-        heaps(static_cast<size_t>(layers) + 1,
-              std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)>(
-                  cmp));
-    for (const auto& [packed, node] : graph_.delta_nodes()) {
-      TupleId t = TupleId::Unpack(packed);
-      // Ablation: arbitrary ordering ranks everything equally (the heap
-      // then degenerates to smallest-id order), or — under a nonzero
-      // seed — by a seeded hash, i.e. a reproducible shuffle.
+    std::vector<Entry> order;
+    order.reserve(graph_.num_delta_nodes());
+    for (uint32_t node = 0; node < graph_.num_delta_nodes(); ++node) {
+      const uint64_t packed = graph_.node_tuple(node).Pack();
+      // Ablation: arbitrary ordering ranks everything equally (smallest
+      // id order), or — under a nonzero seed — by a seeded hash, i.e. a
+      // reproducible shuffle.
       int64_t key;
       if (ordering_ == StepOrdering::kMaxBenefit) {
-        key = graph_.Benefit(t);
+        key = graph_.Benefit(node);
       } else if (seed_ != 0) {
         key = static_cast<int64_t>(Mix64(packed ^ seed_) >> 1);
       } else {
         key = 0;
       }
-      heaps[static_cast<size_t>(node.layer)].emplace(key, packed);
+      order.push_back(Entry{graph_.node_layer(node), key, packed, node});
     }
-    for (int layer = 1; layer <= layers && !ctx->stopped(); ++layer) {
-      auto& heap = heaps[static_cast<size_t>(layer)];
-      while (!heap.empty()) {
-        if (ctx->Tick()) break;
-        auto [benefit, packed] = heap.top();
-        heap.pop();
-        if (pruned_.count(packed) || in_s_.count(packed)) continue;
-        Choose(TupleId::Unpack(packed));
-      }
+    std::sort(order.begin(), order.end(), [](const Entry& a, const Entry& b) {
+      if (a.layer != b.layer) return a.layer < b.layer;
+      if (a.key != b.key) return a.key > b.key;
+      return a.packed < b.packed;
+    });
+    for (const Entry& e : order) {
+      if (ctx->Tick()) break;
+      if (pruned_[e.node] || chosen_[e.node]) continue;
+      Choose(e.node);
     }
     std::vector<TupleId> out;
-    out.reserve(in_s_.size());
-    for (uint64_t packed : in_s_) out.push_back(TupleId::Unpack(packed));
+    for (uint32_t node = 0; node < chosen_.size(); ++node) {
+      if (chosen_[node]) out.push_back(graph_.node_tuple(node));
+    }
     return out;
   }
 
  private:
-  void Choose(TupleId t) {
-    in_s_.insert(t.Pack());
+  void Choose(uint32_t node) {
+    chosen_[node] = 1;
     // Assignments using t as a base tuple die — except those deriving
     // ∆(t) itself (the "t' != tk" exception of line 9).
-    const auto* uses = graph_.BaseUses(t);
-    if (uses == nullptr) return;
-    for (uint32_t id : *uses) {
-      if (graph_.assignment(id).head == t) continue;
+    for (uint32_t id : graph_.BaseUses(node)) {
+      if (graph_.head_node(id) == node) continue;
       KillAssignment(id);
     }
   }
@@ -91,28 +93,25 @@ class GreedyTraversal {
   void KillAssignment(uint32_t id) {
     if (assignment_dead_[id]) return;
     assignment_dead_[id] = 1;
-    uint64_t head = graph_.assignment(id).head.Pack();
-    if (in_s_.count(head)) return;  // chosen nodes are never pruned
-    auto it = live_derivations_.find(head);
-    if (it == live_derivations_.end()) return;
-    if (--it->second == 0) PruneNode(head);
+    const uint32_t head = graph_.head_node(id);
+    if (chosen_[head]) return;  // chosen nodes are never pruned
+    if (--live_derivations_[head] == 0) PruneNode(head);
   }
 
-  void PruneNode(uint64_t packed) {
-    if (!pruned_.insert(packed).second) return;
+  void PruneNode(uint32_t node) {
+    if (pruned_[node]) return;
+    pruned_[node] = 1;
     // ∆(t') is no longer derivable: assignments consuming it die too.
-    const auto* uses = graph_.DeltaUses(TupleId::Unpack(packed));
-    if (uses == nullptr) return;
-    for (uint32_t id : *uses) KillAssignment(id);
+    for (uint32_t id : graph_.DeltaUses(node)) KillAssignment(id);
   }
 
   const ProvenanceGraph& graph_;
   StepOrdering ordering_;
   uint64_t seed_;
-  std::unordered_map<uint64_t, size_t> live_derivations_;
-  std::vector<uint8_t> assignment_dead_;
-  std::unordered_set<uint64_t> in_s_;
-  std::unordered_set<uint64_t> pruned_;
+  std::vector<uint32_t> live_derivations_;  // per node
+  std::vector<uint8_t> assignment_dead_;    // per assignment
+  std::vector<uint8_t> chosen_;             // per node: in S
+  std::vector<uint8_t> pruned_;             // per node
 };
 
 }  // namespace
@@ -135,7 +134,7 @@ RepairResult StepSemantics::Run(InstanceView* view, const Program& program,
   view->RestoreState(snapshot);
 
   // Phase 2 (Process Prov): traversal state construction.
-  result.stats.graph_nodes = graph.delta_nodes().size();
+  result.stats.graph_nodes = graph.num_delta_nodes();
   result.stats.graph_layers = static_cast<uint64_t>(graph.num_layers());
   std::unique_ptr<GreedyTraversal> traversal;
   {

@@ -12,18 +12,20 @@ bool Cnf::AddClause(std::vector<Lit> lits) {
             [](Lit a, Lit b) {
               return LitVar(a) != LitVar(b) ? LitVar(a) < LitVar(b) : a < b;
             });
-  std::vector<Lit> clean;
-  clean.reserve(lits.size());
-  for (Lit l : lits) {
+  // Compact in place: lits[0, kept) is the clause so far.
+  size_t kept = 0;
+  for (size_t i = 0; i < lits.size(); ++i) {
+    const Lit l = lits[i];
     DR_CHECK(l != 0);
     Touch(LitVar(l));
-    if (!clean.empty() && clean.back() == l) continue;  // duplicate literal
-    if (!clean.empty() && LitVar(clean.back()) == LitVar(l)) {
+    if (kept > 0 && lits[kept - 1] == l) continue;  // duplicate literal
+    if (kept > 0 && LitVar(lits[kept - 1]) == LitVar(l)) {
       return false;  // x and ¬x together: tautology, drop the clause
     }
-    clean.push_back(l);
+    lits[kept++] = l;
   }
-  clauses_.push_back(std::move(clean));
+  lits.resize(kept);
+  clauses_.push_back(std::move(lits));
   return true;
 }
 

@@ -274,8 +274,9 @@ Status DecodeUpdateRequest(std::string_view bytes, UpdateRequest* out) {
   uint32_t arity, count;
   DR_RETURN_IF_ERROR(r.GetU32(&arity));
   DR_RETURN_IF_ERROR(r.GetU32(&count));
-  if (arity > 64) {
-    return Status::InvalidArgument("update request: arity > 64");
+  if (arity > kMaxArity) {
+    return Status::InvalidArgument(
+        StrFormat("update request: arity %u > %zu", arity, kMaxArity));
   }
   if (count > kMaxUpdateTuples) {
     return Status::InvalidArgument(

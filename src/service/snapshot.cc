@@ -82,7 +82,7 @@ inline uint64_t LoadLe64(const unsigned char* p) {
 struct DecodedRelation {
   RelationSchema schema;
   std::vector<Tuple> rows;
-  DedupeTable dedupe;
+  RowHashTable dedupe;
   RelationView::State state;
 };
 
@@ -163,11 +163,10 @@ Status DecodeSection(std::string_view payload, DecodedRelation* out) {
   DR_RETURN_IF_ERROR(r.GetString(&name));
   uint32_t arity;
   DR_RETURN_IF_ERROR(r.GetU32(&arity));
-  if (arity > 64) {
-    // Column masks are 64-bit; nothing in the engine supports more.
+  if (arity > kMaxArity) {
     return Status::InvalidArgument(
-        StrFormat("snapshot: relation '%s' has arity %u > 64", name.c_str(),
-                  arity));
+        StrFormat("snapshot: relation '%s' has arity %u > %zu", name.c_str(),
+                  arity, kMaxArity));
   }
   std::vector<Attribute> attrs;
   attrs.reserve(arity);

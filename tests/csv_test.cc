@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <fstream>
 
+#include "datalog/grounder.h"
 #include "relation/csv.h"
+#include "tests/test_util.h"
 
 namespace deltarepair {
 namespace {
@@ -52,6 +54,52 @@ TEST(CsvTest, Errors) {
   ASSERT_TRUE(LoadCsvIntoDatabase(&db, "Dup", "a:int\n1\n").ok());
   EXPECT_EQ(LoadCsvIntoDatabase(&db, "Dup", "a:int\n1\n").code(),
             StatusCode::kAlreadyExists);
+}
+
+/// CSV text of a relation with `width` int columns z0..z{width-1} and two
+/// rows, all zeros except the last column: 7 in one row, 8 in the other.
+std::string WideCsv(size_t width) {
+  std::string header, row7, row8;
+  for (size_t c = 0; c < width; ++c) {
+    const bool last = c + 1 == width;
+    header += (c ? ",z" : "z") + std::to_string(c) + ":int";
+    row7 += std::string(c ? "," : "") + (last ? "7" : "0");
+    row8 += std::string(c ? "," : "") + (last ? "8" : "0");
+  }
+  return header + "\n" + row7 + "\n" + row8 + "\n";
+}
+
+TEST(CsvTest, RejectsRelationsWiderThanKMaxArity) {
+  Database db;
+  Status st = LoadCsvIntoDatabase(&db, "R", WideCsv(kMaxArity + 1));
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(db.num_relations(), 0u);  // nothing half-added
+  EXPECT_EQ(db.FindRelation("R"), nullptr);
+}
+
+TEST(CsvTest, WidestRelationGroundsWithItsLastColumnBound) {
+  Database db;
+  ASSERT_TRUE(LoadCsvIntoDatabase(&db, "R", WideCsv(kMaxArity)).ok());
+  ASSERT_TRUE(LoadCsvIntoDatabase(&db, "S", "x:int,y:int\n7,1\n").ok());
+  // S (1 row) is joined first, so R (2 rows) is probed with x bound: the
+  // probe mask is bit 63 alone.
+  std::string r_atom = "R(";
+  for (size_t c = 0; c + 1 < kMaxArity; ++c) {
+    r_atom += "z" + std::to_string(c) + ", ";
+  }
+  r_atom += "x)";
+  Program program =
+      MustParseProgram("~S(x, y) :- S(x, y), " + r_atom + ".\n");
+  ASSERT_TRUE(ResolveProgram(&program, db).ok());
+  Grounder grounder(&db);
+  std::vector<TupleId> heads;
+  grounder.EnumerateRule(program.rules()[0], 0, BaseMatch::kLive,
+                         DeltaMatch::kCurrent, [&](const GroundAssignment& ga) {
+                           heads.push_back(ga.head);
+                           return true;
+                         });
+  ASSERT_EQ(heads.size(), 1u);
+  EXPECT_EQ(db.TupleToStr(heads[0]), "S(7, 1)");
 }
 
 TEST(CsvTest, RoundTripThroughRender) {

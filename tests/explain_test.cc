@@ -1,6 +1,8 @@
 // Deletion-explanation tests over the running example's provenance graph.
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "repair/explain.h"
 #include "repair/repair_engine.h"
 #include "tests/test_util.h"
@@ -71,6 +73,42 @@ TEST(ExplainTest, NonDerivedTupleHasNoExplanation) {
   ExplainFixture f;
   EXPECT_FALSE(ExplainDeletion(f.graph, f.ex.ag2).has_value());
   EXPECT_FALSE(ExplainDeletion(f.graph, f.ex.g1).has_value());
+}
+
+TEST(ExplainTest, UsesTheEarliestDerivation) {
+  // ~C(1) is derived twice: in round 2 by rule 3 (via ~A) and in round 3
+  // by rule 0 (via ~B). Rule order must not matter: the explanation
+  // follows the round-2 derivation, the minimal-depth proof.
+  Database db;
+  uint32_t a = db.AddRelation(MakeIntSchema("A", {"x"}));
+  uint32_t b = db.AddRelation(MakeIntSchema("B", {"x"}));
+  uint32_t c = db.AddRelation(MakeIntSchema("C", {"x"}));
+  TupleId ta = db.Insert(a, {Value(int64_t{1})});
+  db.Insert(b, {Value(int64_t{1})});
+  TupleId tc = db.Insert(c, {Value(int64_t{1})});
+  Program program = MustParseProgram(
+      "~C(x) :- C(x), ~B(x).\n"
+      "~B(x) :- B(x), ~A(x).\n"
+      "~A(x) :- A(x).\n"
+      "~C(x) :- C(x), ~A(x).\n");
+  StatusOr<RepairEngine> engine = RepairEngine::Create(&db, program);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ProvenanceGraph graph;
+  RepairRequest request;
+  request.semantics = "end";
+  request.options.record_provenance = &graph;
+  engine->Execute(request);
+  const uint32_t node = graph.FindDeltaNode(tc);
+  ASSERT_NE(node, ProvenanceGraph::kNoNode);
+  ASSERT_EQ(graph.Derivations(node).size(), 2u);
+  EXPECT_EQ(graph.rule_index(graph.Derivations(node).front()), 3);
+
+  auto explanation = ExplainDeletion(graph, tc);
+  ASSERT_TRUE(explanation.has_value());
+  ASSERT_EQ(explanation->steps.size(), 2u);
+  EXPECT_EQ(explanation->steps[0].derived, ta);
+  EXPECT_EQ(explanation->steps[1].rule_index, 3);
+  EXPECT_EQ(explanation->steps[1].deltas, std::vector<TupleId>{ta});
 }
 
 TEST(ExplainTest, RenderMentionsRulesAndTuples) {

@@ -73,8 +73,9 @@ TEST(FixpointTest, ProvenanceLayersAreDerivationDepths) {
   RepairStats stats;
   RunFixpoint(&f.db, program, false, &graph, &stats);
   for (int i = 0; i < 4; ++i) {
-    ASSERT_NE(graph.FindDeltaNode(f.tuples[i]), nullptr) << i;
-    EXPECT_EQ(graph.FindDeltaNode(f.tuples[i])->layer, i + 1) << i;
+    const uint32_t node = graph.FindDeltaNode(f.tuples[i]);
+    ASSERT_NE(node, ProvenanceGraph::kNoNode) << i;
+    EXPECT_EQ(graph.node_layer(node), i + 1) << i;
   }
   EXPECT_EQ(graph.num_layers(), 4);
   EXPECT_EQ(graph.num_assignments(), 4u);
@@ -99,11 +100,11 @@ TEST(FixpointTest, MultiDeltaRuleFiresOnceBothInputsExist) {
   RepairStats stats;
   RunFixpoint(&db, program, false, &graph, &stats);
   EXPECT_TRUE(db.delta(tc));
-  EXPECT_EQ(graph.FindDeltaNode(ta)->layer, 1);
-  EXPECT_EQ(graph.FindDeltaNode(tb)->layer, 2);
-  EXPECT_EQ(graph.FindDeltaNode(tc)->layer, 3);
+  EXPECT_EQ(graph.node_layer(graph.FindDeltaNode(ta)), 1);
+  EXPECT_EQ(graph.node_layer(graph.FindDeltaNode(tb)), 2);
+  EXPECT_EQ(graph.node_layer(graph.FindDeltaNode(tc)), 3);
   // The C derivation is recorded once (pivot dedup).
-  EXPECT_EQ(graph.FindDeltaNode(tc)->derivations.size(), 1u);
+  EXPECT_EQ(graph.Derivations(graph.FindDeltaNode(tc)).size(), 1u);
 }
 
 TEST(FixpointTest, SameRoundDeltasNotVisibleWithinRound) {
@@ -124,7 +125,7 @@ TEST(FixpointTest, SameRoundDeltasNotVisibleWithinRound) {
   ProvenanceGraph graph;
   RepairStats stats;
   RunFixpoint(&db, program, false, &graph, &stats);
-  EXPECT_EQ(graph.FindDeltaNode(tc)->layer, 2);
+  EXPECT_EQ(graph.node_layer(graph.FindDeltaNode(tc)), 2);
 }
 
 TEST(FixpointTest, StageGuardCutsCascadeMidway) {

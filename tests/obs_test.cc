@@ -13,11 +13,13 @@
 #include <thread>
 #include <vector>
 
+#include "datalog/grounder.h"
 #include "obs/flight_recorder.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sat/min_ones.h"
+#include "tests/test_util.h"
 
 namespace deltarepair {
 namespace {
@@ -122,6 +124,41 @@ TEST_F(TraceTest, MinOnesSpanExplainsThePreprocessing) {
   EXPECT_GE(r.preprocess_rounds, 1u);
   EXPECT_EQ(args["residual_vars"], 3u);
   EXPECT_EQ(args["components"], 1u);
+}
+
+TEST_F(TraceTest, EnumerateRuleSpanCountsJoinWork) {
+  // R has 3 rows and S 5, so the plan scans R and probes S on y once per
+  // R row: y=10 chains 2 rows, y=20 one, y=30 none.
+  Database db;
+  uint32_t r = db.AddRelation(MakeIntSchema("R", {"x", "y"}));
+  uint32_t s = db.AddRelation(MakeIntSchema("S", {"y", "z"}));
+  for (int64_t i = 1; i <= 3; ++i) db.Insert(r, {Value(i), Value(10 * i)});
+  for (int64_t y : {10, 10, 20, 40, 50}) {
+    db.Insert(s, {Value(y), Value(static_cast<int64_t>(
+                                 db.relation(s).num_rows()))});
+  }
+  Program program = MustParseProgram("~R(x, y) :- R(x, y), S(y, z).\n");
+  ASSERT_TRUE(ResolveProgram(&program, db).ok());
+  Grounder grounder(&db);
+  size_t emitted = 0;
+  grounder.EnumerateRule(program.rules()[0], 0, BaseMatch::kLive,
+                         DeltaMatch::kCurrent, [&](const GroundAssignment&) {
+                           ++emitted;
+                           return true;
+                         });
+  EXPECT_EQ(emitted, 3u);
+  std::vector<TraceEvent> events = EventsNamed(Trace::Collect(),
+                                               "ground.enumerate_rule");
+  ASSERT_EQ(events.size(), 1u);
+  std::map<std::string, uint64_t> args;
+  for (int i = 0; i < kMaxSpanArgs; ++i) {
+    if (events[0].arg_keys[i] != nullptr) {
+      args[events[0].arg_keys[i]] = events[0].arg_vals[i];
+    }
+  }
+  EXPECT_EQ(args["assignments"], 3u);
+  EXPECT_EQ(args["probes"], 3u);
+  EXPECT_EQ(args["rows_visited"], 6u);  // 3 scanned + 2 + 1 + 0 probed
 }
 
 TEST_F(TraceTest, NestedSpansTrackDepthAndOrdering) {

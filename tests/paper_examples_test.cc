@@ -113,14 +113,27 @@ TEST_F(RunningExampleTest, ProvenanceGraphBenefitsMatchFigure5) {
   EXPECT_EQ(graph.Benefit(ex_.w2), 3);
   EXPECT_EQ(graph.Benefit(ex_.c), 1);
 
+  // The same benefits through the node ids Algorithm 2 walks.
+  EXPECT_EQ(graph.num_delta_nodes(), 8u);
+  for (const TupleId& t :
+       {ex_.w1, ex_.p1, ex_.a2, ex_.g2, ex_.a3, ex_.p2, ex_.w2, ex_.c}) {
+    const uint32_t node = graph.FindDeltaNode(t);
+    ASSERT_NE(node, ProvenanceGraph::kNoNode);
+    EXPECT_EQ(graph.node_tuple(node), t);
+    EXPECT_EQ(graph.Benefit(node), graph.Benefit(t));
+  }
+
   // Layer structure: g2 at 1; a2,a3 at 2; w1,w2,p1,p2 at 3; c at 4.
+  auto layer = [&](TupleId t) {
+    return graph.node_layer(graph.FindDeltaNode(t));
+  };
   EXPECT_EQ(graph.num_layers(), 4);
-  EXPECT_EQ(graph.FindDeltaNode(ex_.g2)->layer, 1);
-  EXPECT_EQ(graph.FindDeltaNode(ex_.a2)->layer, 2);
-  EXPECT_EQ(graph.FindDeltaNode(ex_.a3)->layer, 2);
-  EXPECT_EQ(graph.FindDeltaNode(ex_.w1)->layer, 3);
-  EXPECT_EQ(graph.FindDeltaNode(ex_.p2)->layer, 3);
-  EXPECT_EQ(graph.FindDeltaNode(ex_.c)->layer, 4);
+  EXPECT_EQ(layer(ex_.g2), 1);
+  EXPECT_EQ(layer(ex_.a2), 2);
+  EXPECT_EQ(layer(ex_.a3), 2);
+  EXPECT_EQ(layer(ex_.w1), 3);
+  EXPECT_EQ(layer(ex_.p2), 3);
+  EXPECT_EQ(layer(ex_.c), 4);
 }
 
 // Proposition 3.19: D = {R1(a), R2(b)} with rules ∆1(x) :- R1(x), R2(y)

@@ -132,7 +132,37 @@ TEST(ProvenanceGraphTest, DedupesIdenticalAssignments) {
   EXPECT_GE(graph.AddAssignment(ga, 1), 0);
   EXPECT_EQ(graph.AddAssignment(ga, 2), -1);  // duplicate
   EXPECT_EQ(graph.num_assignments(), 1u);
-  EXPECT_EQ(graph.FindDeltaNode(TupleId{f.a, 0})->layer, 1);
+  const uint32_t node = graph.FindDeltaNode(TupleId{f.a, 0});
+  ASSERT_NE(node, ProvenanceGraph::kNoNode);
+  EXPECT_EQ(graph.node_layer(node), 1);
+  EXPECT_EQ(graph.Derivations(node).size(), 1u);
+  EXPECT_EQ(graph.BaseUses(node).size(), 1u);  // kept once, counted once
+}
+
+TEST(ProvenanceGraphTest, SameHeadDifferentBodiesAreBothKept) {
+  // Two rule-1 assignments deriving ∆B(1) whose bodies differ only in the
+  // delta row (the graph records what it is given; it does not re-join).
+  ProvFixture f;
+  f.db.Insert(f.a, {Value(int64_t{2})});
+  ProvenanceGraph graph;
+  GroundAssignment ga;
+  ga.rule = &f.program.rules()[1];
+  ga.rule_index = 1;
+  ga.head = TupleId{f.b, 0};
+  ga.body = {TupleId{f.b, 0}, TupleId{f.a, 0}};
+  EXPECT_EQ(graph.AddAssignment(ga, 2), 0);
+  ga.body = {TupleId{f.b, 0}, TupleId{f.a, 1}};
+  EXPECT_EQ(graph.AddAssignment(ga, 3), 1);
+  EXPECT_EQ(graph.num_assignments(), 2u);
+  ASSERT_EQ(graph.num_delta_nodes(), 1u);
+  const uint32_t node = graph.FindDeltaNode(TupleId{f.b, 0});
+  EXPECT_EQ(graph.node_layer(node), 2);  // first recorded layer
+  IdRange derivations = graph.Derivations(node);
+  ASSERT_EQ(derivations.size(), 2u);
+  EXPECT_EQ(derivations.front(), 0u);
+  EXPECT_EQ(graph.body(1, 1), (TupleId{f.a, 1}));
+  EXPECT_TRUE(graph.body_is_delta(1, 1));
+  EXPECT_FALSE(graph.body_is_delta(1, 0));
 }
 
 TEST(ProvenanceGraphTest, LayersAndUsesFromEndEvaluation) {
@@ -140,22 +170,50 @@ TEST(ProvenanceGraphTest, LayersAndUsesFromEndEvaluation) {
   ProvenanceGraph graph;
   EvalEndWithProvenance(&f.db, f.program, &graph);
   EXPECT_EQ(graph.num_layers(), 2);
-  TupleId ta{f.a, 0};
-  TupleId tb{f.b, 0};
-  ASSERT_NE(graph.FindDeltaNode(ta), nullptr);
-  ASSERT_NE(graph.FindDeltaNode(tb), nullptr);
-  EXPECT_EQ(graph.FindDeltaNode(ta)->layer, 1);
-  EXPECT_EQ(graph.FindDeltaNode(tb)->layer, 2);
+  const uint32_t na = graph.FindDeltaNode(TupleId{f.a, 0});
+  const uint32_t nb = graph.FindDeltaNode(TupleId{f.b, 0});
+  ASSERT_NE(na, ProvenanceGraph::kNoNode);
+  ASSERT_NE(nb, ProvenanceGraph::kNoNode);
+  EXPECT_EQ(graph.node_layer(na), 1);
+  EXPECT_EQ(graph.node_layer(nb), 2);
   // Benefit of A(1): participates as base in its own derivation only (1),
   // ∆A(1) feeds B's derivation (1) → benefit 0.
-  EXPECT_EQ(graph.Benefit(ta), 0);
+  EXPECT_EQ(graph.Benefit(na), 0);
   // Benefit of B(1): base in its own derivation, ∆B unused → 1.
-  EXPECT_EQ(graph.Benefit(tb), 1);
-  ASSERT_NE(graph.BaseUses(ta), nullptr);
-  EXPECT_EQ(graph.BaseUses(ta)->size(), 1u);
-  ASSERT_NE(graph.DeltaUses(ta), nullptr);
-  EXPECT_EQ(graph.DeltaUses(ta)->size(), 1u);
-  EXPECT_EQ(graph.DeltaUses(tb), nullptr);
+  EXPECT_EQ(graph.Benefit(nb), 1);
+  EXPECT_EQ(graph.BaseUses(na).size(), 1u);
+  ASSERT_EQ(graph.DeltaUses(na).size(), 1u);
+  EXPECT_EQ(graph.head_node(graph.DeltaUses(na).front()), nb);
+  EXPECT_TRUE(graph.DeltaUses(nb).empty());
+}
+
+TEST(ProvenanceGraphTest, UseListsFollowRecordingAfterAQuery) {
+  ProvFixture f;
+  ProvenanceGraph graph;
+  GroundAssignment seed;
+  seed.rule = &f.program.rules()[0];
+  seed.rule_index = 0;
+  seed.head = TupleId{f.a, 0};
+  seed.body = {TupleId{f.a, 0}};
+  ASSERT_EQ(graph.AddAssignment(seed, 1), 0);
+  const uint32_t na = graph.FindDeltaNode(TupleId{f.a, 0});
+  // Query (builds the use lists), then keep recording.
+  EXPECT_EQ(graph.Benefit(na), 1);
+  EXPECT_TRUE(graph.DeltaUses(na).empty());
+
+  GroundAssignment cascade;
+  cascade.rule = &f.program.rules()[1];
+  cascade.rule_index = 1;
+  cascade.head = TupleId{f.b, 0};
+  cascade.body = {TupleId{f.b, 0}, TupleId{f.a, 0}};
+  ASSERT_EQ(graph.AddAssignment(cascade, 2), 1);
+  const uint32_t nb = graph.FindDeltaNode(TupleId{f.b, 0});
+  ASSERT_NE(nb, ProvenanceGraph::kNoNode);
+  EXPECT_EQ(graph.DeltaUses(na).size(), 1u);
+  EXPECT_EQ(graph.Benefit(na), 0);
+  EXPECT_EQ(graph.Benefit(nb), 1);
+  EXPECT_EQ(graph.Derivations(nb).size(), 1u);
+  EXPECT_EQ(graph.num_layers(), 2);
 }
 
 TEST(ProvenanceGraphTest, ToStringListsLayers) {
@@ -171,7 +229,8 @@ TEST(ProvenanceGraphTest, ToStringListsLayers) {
 TEST(ProvenanceGraphTest, BenefitOfUnknownTupleIsZero) {
   ProvenanceGraph graph;
   EXPECT_EQ(graph.Benefit(TupleId{9, 9}), 0);
-  EXPECT_EQ(graph.FindDeltaNode(TupleId{9, 9}), nullptr);
+  EXPECT_EQ(graph.FindDeltaNode(TupleId{9, 9}), ProvenanceGraph::kNoNode);
+  EXPECT_EQ(graph.num_delta_nodes(), 0u);
 }
 
 }  // namespace

@@ -120,6 +120,22 @@ TEST(RelationViewTest, ViewsOverOneStorageAreIndependent) {
   EXPECT_EQ(b.delta_count(), 0u);
 }
 
+/// Probes `index` (over `mask`) with the key columns of `key`, hashed the
+/// way the grounder hashes its bindings, and returns the chain in order.
+std::vector<uint32_t> ProbeChain(const Relation::Index* index,
+                                 Relation::ColumnMask mask, const Tuple& key) {
+  uint64_t h = Relation::KeyHashSeed(mask);
+  for (size_t c = 0; c < key.size(); ++c) {
+    if (mask & (1ULL << c)) h = HashCombine(h, key[c].Hash());
+  }
+  std::vector<uint32_t> rows;
+  for (uint32_t r = index->Head(h); r != Relation::Index::kNone;
+       r = index->Next(r)) {
+    rows.push_back(r);
+  }
+  return rows;
+}
+
 TEST(RelationTest, IndexProbeFindsMatchingRows) {
   Relation r(MakeIntSchema("R", {"x", "y"}));
   for (int64_t i = 0; i < 10; ++i) {
@@ -127,23 +143,79 @@ TEST(RelationTest, IndexProbeFindsMatchingRows) {
   }
   const Relation::Index* index = r.EnsureIndex(0b01);  // column 0
   ASSERT_NE(index, nullptr);
-  Tuple probe{Value(int64_t{1}), Value()};
-  const auto* rows = r.Probe(index, 0b01, probe);
-  ASSERT_NE(rows, nullptr);
+  std::vector<uint32_t> rows =
+      ProbeChain(index, 0b01, {Value(int64_t{1}), Value()});
   size_t verified = 0;
-  for (uint32_t row : *rows) {
+  for (uint32_t row : rows) {
     if (r.row(row)[0] == Value(int64_t{1})) ++verified;
   }
   EXPECT_EQ(verified, 3u);  // i = 1, 4, 7
+  EXPECT_TRUE(ProbeChain(index, 0b01, {Value(int64_t{5}), Value()}).empty());
+}
+
+TEST(RelationTest, IndexChainsAreInAscendingRowOrder) {
+  Relation r(MakeIntSchema("R", {"x", "y"}));
+  for (int64_t i = 0; i < 40; ++i) {
+    r.InternRow({Value(i % 4), Value(i)});
+  }
+  const Relation::Index* index = r.EnsureIndex(0b01);
+  for (int64_t k = 0; k < 4; ++k) {
+    std::vector<uint32_t> rows =
+        ProbeChain(index, 0b01, {Value(k), Value()});
+    ASSERT_EQ(rows.size(), 10u) << k;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i], static_cast<uint32_t>(k + 4 * i)) << k;
+    }
+  }
 }
 
 TEST(RelationTest, IndexMaintainedAcrossInserts) {
   Relation r(MakeIntSchema("R", {"x"}));
   r.EnsureIndex(0b1);
   r.InternRow({Value(int64_t{9})});
-  const auto* rows = r.Probe(0b1, {Value(int64_t{9})});
-  ASSERT_NE(rows, nullptr);
-  EXPECT_EQ(rows->size(), 1u);
+  std::vector<uint32_t> rows =
+      ProbeChain(r.EnsureIndex(0b1), 0b1, {Value(int64_t{9})});
+  EXPECT_EQ(rows, (std::vector<uint32_t>{0}));
+}
+
+TEST(RelationTest, RowsInternedAfterEnsureIndexAppendAtTheTail) {
+  Relation r(MakeIntSchema("R", {"x", "y"}));
+  for (int64_t i = 0; i < 6; ++i) r.InternRow({Value(i % 2), Value(i)});
+  const Relation::Index* index = r.EnsureIndex(0b01);
+  for (int64_t i = 6; i < 12; ++i) r.InternRow({Value(i % 2), Value(i)});
+  // A dedupe hit adds no row and must not touch the chain.
+  EXPECT_FALSE(r.InternRow({Value(int64_t{0}), Value(int64_t{0})}).inserted);
+  EXPECT_EQ(r.EnsureIndex(0b01), index);  // maintained in place
+  EXPECT_EQ(ProbeChain(index, 0b01, {Value(int64_t{0}), Value()}),
+            (std::vector<uint32_t>{0, 2, 4, 6, 8, 10}));
+  EXPECT_EQ(ProbeChain(index, 0b01, {Value(int64_t{1}), Value()}),
+            (std::vector<uint32_t>{1, 3, 5, 7, 9, 11}));
+}
+
+TEST(RelationTest, IndexGrowsPastManyDistinctKeys) {
+  // Thousands of distinct keys force several table doublings, both while
+  // EnsureIndex builds (rows 0..n-1) and while InternRow maintains.
+  constexpr int64_t kBuilt = 5000;
+  constexpr int64_t kAppended = 5000;
+  Relation r(MakeIntSchema("R", {"x", "y"}));
+  for (int64_t i = 0; i < kBuilt; ++i) r.InternRow({Value(i), Value(i % 7)});
+  const Relation::Index* by_x = r.EnsureIndex(0b01);
+  const Relation::Index* by_y = r.EnsureIndex(0b10);
+  for (int64_t i = kBuilt; i < kBuilt + kAppended; ++i) {
+    r.InternRow({Value(i), Value(i % 7)});
+  }
+  for (int64_t i = 0; i < kBuilt + kAppended; ++i) {
+    std::vector<uint32_t> rows = ProbeChain(by_x, 0b01, {Value(i), Value()});
+    ASSERT_FALSE(rows.empty()) << i;
+    EXPECT_EQ(rows.front(), static_cast<uint32_t>(i)) << i;
+    EXPECT_EQ(r.row(rows.front())[0], Value(i));
+  }
+  std::vector<uint32_t> sixes =
+      ProbeChain(by_y, 0b10, {Value(), Value(int64_t{6})});
+  ASSERT_EQ(sixes.size(), static_cast<size_t>((kBuilt + kAppended) / 7));
+  for (size_t i = 0; i < sixes.size(); ++i) {
+    EXPECT_EQ(sixes[i], static_cast<uint32_t>(6 + 7 * i));
+  }
 }
 
 TEST(RelationTest, EnsureIndexIsStableAndIdempotent) {
