@@ -79,9 +79,7 @@ int Main() {
     SolverStats total;
     WallTimer timer;
     for (int r = 0; r < repeats; ++r) {
-      SolverOptions options;
-      options.inprocessing = true;  // the repair stack's configuration
-      CdclSolver solver(options);
+      CdclSolver solver;
       solver.AddCnf(cnf);
       status = solver.Solve();
       total.Add(solver.stats());

@@ -372,8 +372,7 @@ std::vector<CqaResult> AnswerQueryBatch(
       if (i >= requests.size()) break;
       if (workers > 1 && requests[i].options.threads > 1) {
         // The thread budget is spent on batch workers; a per-request
-        // solver portfolio on top would oversubscribe (and make the
-        // batch outcome depend on worker scheduling).
+        // entailment worker pool on top would oversubscribe them.
         CqaRequest clamped = requests[i];
         clamped.options.threads = 1;
         out[i] = AnswerQueryOnView(&view, engine->program(), clamped);

@@ -7,13 +7,21 @@
 
 namespace deltarepair {
 
+namespace {
+
+// Cones wider than this fraction of the deletion variables fall back to
+// the full CNF (slicing overhead would exceed the saving). A floor of
+// 32 variables keeps tiny instances sliceable.
+constexpr double kMaxConeFraction = 0.5;
+
+}  // namespace
+
 SlicedJudge::SlicedJudge(ConeSlicer* slicer, const SliceOptions& options,
                          const MinOnesOptions& min_ones)
     : slicer_(slicer), min_ones_(min_ones) {
   enabled_ = options.enable && slicer != nullptr && slicer->valid();
   if (!enabled_) return;
-  double cap = options.max_cone_fraction *
-               static_cast<double>(slicer->num_vars());
+  double cap = kMaxConeFraction * static_cast<double>(slicer->num_vars());
   max_cone_vars_ = std::max<uint32_t>(32, static_cast<uint32_t>(cap));
 }
 
@@ -25,12 +33,21 @@ const ConeSlicer::Slice* SlicedJudge::SliceFor(
   return slice;
 }
 
-void SlicedJudge::LoadCappedSlice(const ConeSlicer::Slice& slice,
+bool SlicedJudge::LoadCappedSlice(const ConeSlicer::Slice& slice,
                                   ExecContext* ctx, CdclSolver* solver) {
+  // Same rule as the full-CNF fallbacks: a cap wider than
+  // max_totalizer_area (n_i x (k_i+1) clauses) is not built, and the
+  // verdict that needs it comes back undecided.
+  for (const ConeSlicer::Slice::Cap& cap : slice.caps) {
+    if (cap.bound != 0 &&
+        static_cast<uint64_t>(cap.inputs.size()) * (cap.bound + 1) >
+            min_ones_.max_totalizer_area) {
+      return false;
+    }
+  }
   SolverOptions* opts = solver->mutable_options();
   opts->learning = min_ones_.enable_learning;
   opts->restarts = min_ones_.enable_restarts;
-  opts->inprocessing = false;  // throwaway solver, one Solve call
   double remaining = ctx->RemainingSeconds();
   opts->time_limit_seconds =
       std::isinf(remaining) ? 0 : std::max(remaining, 1e-9);
@@ -48,6 +65,7 @@ void SlicedJudge::LoadCappedSlice(const ConeSlicer::Slice& slice,
       solver->AddClause({-outputs[cap.bound]});
     }
   }
+  return true;
 }
 
 std::optional<CqaVerdict> SlicedJudge::Certain(
@@ -60,7 +78,7 @@ std::optional<CqaVerdict> SlicedJudge::Certain(
   if (slice == nullptr) return std::nullopt;
 
   CdclSolver solver;
-  LoadCappedSlice(*slice, ctx, &solver);
+  if (!LoadCappedSlice(*slice, ctx, &solver)) return CqaVerdict{false, false};
   // ¬φ over the cone: every surviving monomial loses an open tuple.
   for (const std::vector<uint32_t>& mono : red.monomials) {
     std::vector<Lit> clause;
@@ -89,7 +107,7 @@ std::optional<CqaVerdict> SlicedJudge::Possible(
   if (slice == nullptr) return std::nullopt;
 
   CdclSolver solver;
-  LoadCappedSlice(*slice, ctx, &solver);
+  if (!LoadCappedSlice(*slice, ctx, &solver)) return CqaVerdict{true, false};
   // φ over the cone: some surviving monomial keeps all its open tuples
   // (Tseitin monomial variables; pinned tuples are already accounted:
   // forced-kept survive every minimum repair, dead monomials are gone).

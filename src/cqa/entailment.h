@@ -43,8 +43,9 @@ class SlicedJudge {
 
   /// Verdicts over the minimum-repair space, or nullopt when the cone
   /// exceeds the width cap (counted as a fallback). A returned verdict
-  /// with decided=false means a budget/cancel tripped mid-solve — final,
-  /// not a fallback (the full CNF is bounded by the same budget).
+  /// with decided=false means a budget/cancel tripped mid-solve or a
+  /// cardinality cap exceeded max_totalizer_area — final, not a
+  /// fallback (the full CNF is bounded by the same budget and area).
   std::optional<CqaVerdict> Certain(const ConeSlicer::ReducedAnswer& red,
                                     ExecContext* ctx);
   std::optional<CqaVerdict> Possible(const ConeSlicer::ReducedAnswer& red,
@@ -76,8 +77,10 @@ class SlicedJudge {
   /// cap (fallback counted here).
   const ConeSlicer::Slice* SliceFor(const ConeSlicer::ReducedAnswer& red);
   /// Fresh solver primed with the slice CNF and its cardinality caps
-  /// (models = the cone's minimum component repairs).
-  void LoadCappedSlice(const ConeSlicer::Slice& slice, ExecContext* ctx,
+  /// (models = the cone's minimum component repairs). False, with the
+  /// solver untouched, when a cap exceeds max_totalizer_area: the
+  /// verdict is then undecided.
+  bool LoadCappedSlice(const ConeSlicer::Slice& slice, ExecContext* ctx,
                        CdclSolver* solver);
 
   ConeSlicer* slicer_;

@@ -192,16 +192,9 @@ void SymbolicRepairSpace::EnsureFallbackLoadedLocked() {
   SolverOptions entail_options;
   entail_options.learning = min_ones_options_.enable_learning;
   entail_options.restarts = min_ones_options_.enable_restarts;
-  // No inprocessing here: the stability CNF is already normalized and
-  // the totalizer is arc-consistent, so a sweep removes nothing, and
-  // its detach/canonicalize/reattach cycle both costs more than the
-  // entailment solves it would amortize over and measurably degrades
-  // their propagation order.
-  entail_options.inprocessing = false;
   *solver_.mutable_options() = entail_options;
   solver_.AddCnf(builder_.cnf());
   const uint32_t n = builder_.num_vars();
-  solver_.FreezeRange(0, n);
 
   // The cardinality cap is laid down per connected component of the
   // stability CNF, not as one global counter. Components share no
@@ -254,7 +247,6 @@ void SymbolicRepairSpace::EnsureFallbackLoadedLocked() {
     std::vector<Lit> outputs = BuildTotalizer(&solver_, inputs, k + 1);
     if (outputs.size() > k) solver_.AddClause({-outputs[k]});
   }
-  solver_.FreezeRange(n, solver_.num_vars());
 }
 
 bool SymbolicRepairSpace::TouchesUncappedLocked(

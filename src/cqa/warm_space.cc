@@ -101,8 +101,12 @@ WarmRepairSpace::WarmRepairSpace(IncrementalDeletionCnf* cnf,
 }
 
 void WarmRepairSpace::PrepareJudges(size_t num_answers) {
+  // The cone decomposition is refreshed only for requests grounding at
+  // least this many answers; below it the warm long-lived solver answers
+  // faster than the decomposition costs to rebuild.
+  constexpr size_t kWarmMinAnswers = 16;
   if (slice_provider_ == nullptr || !slice_options_.enable ||
-      num_answers < slice_options_.warm_min_answers) {
+      num_answers < kWarmMinAnswers) {
     return;
   }
   slice_ = slice_provider_();

@@ -62,8 +62,8 @@ class WarmRepairSpace : public RepairSpace {
   /// `cnf` must have run SolveMinOnes at its current epoch; `optimum` is
   /// that solve's result. `slice_provider` (nullable — verdicts then
   /// always use the full-CNF fallback) is invoked at most once, from
-  /// PrepareJudges, and only when the request grounds at least
-  /// SliceOptions::warm_min_answers answers — refreshing the cone
+  /// PrepareJudges, and only when the request grounds at least 16
+  /// answers (kWarmMinAnswers in warm_space.cc) — refreshing the cone
   /// decomposition for a handful of answers costs more than the warm
   /// solver's direct assumption solves. The space is inexact (all
   /// verdicts undecided) when the warm optimum is unsatisfiable or

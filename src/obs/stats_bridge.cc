@@ -26,10 +26,6 @@ void AddRepairStatsToMetrics(const RepairStats& stats) {
                                             "CDCL restarts across all solves");
   static Counter* solves = reg.GetCounter("drepair_sat_solve_calls_total",
                                           "Incremental SAT solve calls");
-  static Counter* inprocess = reg.GetCounter(
-      "drepair_sat_inprocess_runs_total", "Inter-solve inprocessing runs");
-  static Counter* shared = reg.GetCounter(
-      "drepair_sat_shared_clauses_total", "Portfolio lemmas adopted");
   static Histogram* eval = reg.GetHistogram(
       "drepair_repair_phase_seconds", "Repair phase wall time by phase",
       "phase", "eval");
@@ -50,8 +46,6 @@ void AddRepairStatsToMetrics(const RepairStats& stats) {
   learned->Inc(stats.sat_learned_clauses);
   restarts->Inc(stats.sat_restarts);
   solves->Inc(stats.sat_solve_calls);
-  inprocess->Inc(stats.sat_inprocess_runs);
-  shared->Inc(stats.sat_shared_clauses);
   if (stats.eval_seconds > 0) eval->Observe(stats.eval_seconds);
   if (stats.process_prov_seconds > 0) {
     prov->Observe(stats.process_prov_seconds);

@@ -20,8 +20,8 @@
 // TraceIdScope; spans inherit it, and Collect(trace_id) filters on it —
 // this is how one server request's spans are picked out of the shared
 // rings. Cross-thread propagation is by value: capture CurrentTraceId()
-// before spawning workers and re-install it in each (the portfolio race
-// and the CQA/batch worker pools do this). Sampling composes with the
+// before spawning workers and re-install it in each (the CQA and batch
+// worker pools do this). Sampling composes with the
 // id: TraceIdScope suppresses recording when its id fails
 // SampleTraceId(), so a server can trace 1-in-N requests.
 //

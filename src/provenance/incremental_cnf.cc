@@ -58,12 +58,7 @@ class Dsu {
 }  // namespace
 
 IncrementalDeletionCnf::IncrementalDeletionCnf()
-    : solver_(new CdclSolver()) {
-  // Clause addition between Solves requires all vars to stay present;
-  // inprocessing is also a measured loss on this already-normalized CNF
-  // (see the CQA entailment solver's scope note).
-  solver_->mutable_options()->inprocessing = false;
-}
+    : solver_(new CdclSolver()) {}
 
 uint32_t IncrementalDeletionCnf::VarOf(TupleId t) {
   auto [it, added] = var_of_.emplace(t.Pack(), 0);
@@ -145,7 +140,6 @@ void IncrementalDeletionCnf::Retire(uint32_t id) {
 void IncrementalDeletionCnf::Build(const Program& program,
                                    const GroundProgramCache& cache) {
   solver_.reset(new CdclSolver());
-  solver_->mutable_options()->inprocessing = false;
   var_of_.clear();
   tuple_of_.clear();
   deletion_vars_.clear();
@@ -180,7 +174,6 @@ void IncrementalDeletionCnf::Scrub() {
   for (uint32_t i = 0; i < num_deletion; ++i) remap[deletion_vars_[i]] = i;
 
   solver_.reset(new CdclSolver());
-  solver_->mutable_options()->inprocessing = false;
   solver_->EnsureVars(num_deletion);
 
   // Remap every encoded rule clause — retired ones included, so a later

@@ -51,16 +51,9 @@ struct SliceOptions {
   /// Decide per-answer entailment on the sliced CNF when sound,
   /// falling back to the full formula otherwise. Disabling forces every
   /// verdict through the full-CNF path (the differential test oracle).
+  /// The cone-width cap and the warm refresh threshold are constants
+  /// beside their readers (entailment.cc, warm_space.cc).
   bool enable = true;
-  /// Cones wider than this fraction of the deletion variables fall back
-  /// to the full CNF (slicing overhead would exceed the saving). A
-  /// floor of 32 variables keeps tiny instances sliceable.
-  double max_cone_fraction = 0.5;
-  /// Warm serving only: the engine's per-epoch cone decomposition is
-  /// (re)built lazily, and only for requests grounding at least this
-  /// many answers — below it the warm long-lived solver answers faster
-  /// than the decomposition costs to refresh.
-  size_t warm_min_answers = 16;
 };
 
 /// Cooperative cancellation. Cancel() may be called from any thread; the

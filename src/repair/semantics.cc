@@ -40,13 +40,6 @@ void RepairStats::Add(const RepairStats& other) {
   sat_learned_clauses += other.sat_learned_clauses;
   sat_restarts += other.sat_restarts;
   sat_solve_calls += other.sat_solve_calls;
-  sat_inprocess_runs += other.sat_inprocess_runs;
-  sat_equivalent_vars += other.sat_equivalent_vars;
-  sat_subsumed_clauses += other.sat_subsumed_clauses;
-  sat_strengthened_clauses += other.sat_strengthened_clauses;
-  sat_vivified_clauses += other.sat_vivified_clauses;
-  sat_eliminated_vars += other.sat_eliminated_vars;
-  sat_shared_clauses += other.sat_shared_clauses;
   optimal = optimal && other.optimal;
 }
 
@@ -55,13 +48,6 @@ void RepairStats::AddSolver(const SolverStats& solver) {
   sat_learned_clauses += solver.learned_clauses;
   sat_restarts += solver.restarts;
   sat_solve_calls += solver.solve_calls;
-  sat_inprocess_runs += solver.inprocess.runs;
-  sat_equivalent_vars += solver.inprocess.equivalent_vars;
-  sat_subsumed_clauses += solver.inprocess.subsumed_clauses;
-  sat_strengthened_clauses += solver.inprocess.strengthened_clauses;
-  sat_vivified_clauses += solver.inprocess.vivified_clauses;
-  sat_eliminated_vars += solver.inprocess.eliminated_vars;
-  sat_shared_clauses += solver.shared_imported;
 }
 
 bool RepairResult::Contains(TupleId t) const {

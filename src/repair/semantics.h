@@ -45,15 +45,10 @@ struct RepairStats {
   uint64_t sat_learned_clauses = 0;
   uint64_t sat_restarts = 0;
   uint64_t sat_solve_calls = 0;
-  // Engine inprocessing (simplification between solves) per-pass
-  // counters, and portfolio clause-sharing traffic.
+  // Always 0 since inprocessing was removed; perfbench/ still reads it.
   uint64_t sat_inprocess_runs = 0;
-  uint64_t sat_equivalent_vars = 0;      // SCC equivalence substitutions
-  uint64_t sat_subsumed_clauses = 0;
-  uint64_t sat_strengthened_clauses = 0;  // self-subsuming resolution
-  uint64_t sat_vivified_clauses = 0;
-  uint64_t sat_eliminated_vars = 0;       // bounded variable elimination
-  uint64_t sat_shared_clauses = 0;        // portfolio lemmas adopted
+  // Always 0 since inprocessing was removed; perfbench/ still reads it.
+  uint64_t sat_eliminated_vars = 0;
   /// For the heuristic algorithms: whether the result is provably
   /// minimum (Alg. 1 with an exhausted budget reports false).
   bool optimal = true;

@@ -405,20 +405,9 @@ ComponentOutcome SolveComponent(const Cnf& sub,
   solver_options.restarts = options.enable_restarts;
   solver_options.cancel = options.cancel;
   solver_options.max_work = std::max<uint64_t>(1, work_budget);
-  solver_options.inprocessing = options.enable_inprocessing;
-  solver_options.inprocess = options.inprocess;
   CdclSolver solver(solver_options);
   solver.AddCnf(sub);
-  // The bound loop keeps touching every problem variable (blocking
-  // clauses, all-false probes, totalizer inputs), so none may be
-  // eliminated. The counter's internals stay eligible.
-  solver.FreezeRange(0, sub.num_vars());
   SeedGreedyCover(&solver, sub.clauses(), sub.num_vars());
-  auto solve = [&](const std::vector<Lit>& assumed) {
-    return options.portfolio_threads > 1
-               ? solver.SolvePortfolio(options.portfolio_threads, assumed)
-               : solver.Solve(assumed);
-  };
 
   const uint32_t n = sub.num_vars();
   ComponentOutcome out;
@@ -498,12 +487,6 @@ ComponentOutcome SolveComponent(const Cnf& sub,
             inputs.reserve(n);
             for (uint32_t v = 0; v < n; ++v) inputs.push_back(PosLit(v));
             outputs = BuildTotalizer(&solver, inputs, ub);
-            // The whole counter block is off-limits to inprocessing:
-            // output literals are asserted permanently as bounds settle,
-            // and eliminating internal counter variables would replace
-            // the arc-consistent ternary structure with wide resolvents
-            // that propagate far worse.
-            solver.FreezeRange(sub.num_vars(), solver.num_vars());
           }
           assumptions.assign(1, -outputs[probe]);  // require sum <= probe
         }
@@ -512,7 +495,7 @@ ComponentOutcome SolveComponent(const Cnf& sub,
     double remaining = deadline - timer->ElapsedSeconds();
     if (remaining <= 0) break;  // anytime exit with whatever we have
     solver.mutable_options()->time_limit_seconds = remaining;
-    SolveStatus status = solve(assumptions);
+    SolveStatus status = solver.Solve(assumptions);
     if (status == SolveStatus::kUnknown) break;
     if (status == SolveStatus::kUnsat) {
       if (ub == UINT32_MAX) {
@@ -651,8 +634,6 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
     global_options.max_work = std::max<uint64_t>(1, budget_left);
     global_options.time_limit_seconds = std::max(
         0.05, options.time_limit_seconds - timer.ElapsedSeconds());
-    // One-shot solve: with no later calls to amortize over, a
-    // simplification sweep is pure overhead, so inprocessing stays off.
     CdclSolver global(global_options);
     global.EnsureVars(n);
     bool consistent = true;
@@ -660,11 +641,7 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
       if (!clause.empty() && !global.AddClause(clause)) consistent = false;
     }
     if (consistent) SeedGreedyCover(&global, residual, n);
-    SolveStatus status =
-        !consistent ? SolveStatus::kUnsat
-        : options.portfolio_threads > 1
-            ? global.SolvePortfolio(options.portfolio_threads)
-            : global.Solve();
+    SolveStatus status = consistent ? global.Solve() : SolveStatus::kUnsat;
     result.solver.Add(global.stats());
     uint64_t work_done = global.stats().work();
     result.engine_assignments += work_done;

@@ -84,17 +84,6 @@ struct MinOnesOptions {
   /// entailment caps obey the same bound: a wider cap is skipped and
   /// the verdicts that need it come back undecided.
   uint64_t max_totalizer_area = 100'000;
-  /// Inprocessing (SCC equivalence reduction, subsumption, bounded
-  /// variable elimination, vivification) between the engine's Solve
-  /// calls. Problem variables and totalizer outputs are frozen; the
-  /// counter's internal variables are fair game once built.
-  bool enable_inprocessing = true;
-  InprocessConfig inprocess;
-  /// When > 1, each satisfiability call races this many diversified
-  /// solver clones sharing learned clauses (SolvePortfolio). Verdicts
-  /// are exact but which model wins is a race, so the default stays
-  /// single-threaded and deterministic.
-  int portfolio_threads = 1;
   /// Optional cooperative cancellation (observed alongside the wall-clock
   /// check). Treated like an exhausted budget: the incumbent (or the
   /// all-true fallback) is returned with optimal=false. If cancellation

@@ -5,14 +5,17 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "obs/trace.h"
-#include "sat/inprocess_passes.h"
-#include "sat/portfolio.h"
 
 namespace deltarepair {
 
 namespace {
 
 constexpr Lit kLitUndef = 0;
+
+// VSIDS decay factors and the Luby restart unit (in conflicts).
+constexpr double kVarDecay = 0.95;
+constexpr double kClauseDecay = 0.999;
+constexpr uint64_t kRestartBase = 64;
 
 /// Luby sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
 uint64_t Luby(uint64_t i) {
@@ -50,15 +53,9 @@ void SolverStats::Add(const SolverStats& o) {
   learned_clauses += o.learned_clauses;
   learned_literals += o.learned_literals;
   deleted_clauses += o.deleted_clauses;
-  inprocess.Add(o.inprocess);
-  portfolio_solves += o.portfolio_solves;
-  shared_exported += o.shared_exported;
-  shared_imported += o.shared_imported;
 }
 
-CdclSolver::CdclSolver(const SolverOptions& options) : options_(options) {
-  rng_state_ = options_.seed != 0 ? options_.seed : 0x9e3779b97f4a7c15ULL;
-}
+CdclSolver::CdclSolver(const SolverOptions& options) : options_(options) {}
 
 CdclSolver::~CdclSolver() = default;
 
@@ -73,32 +70,7 @@ void CdclSolver::EnsureVars(uint32_t n) {
   seen_.resize(n, 0);
   watches_.resize(static_cast<size_t>(n) * 2);
   heap_pos_.resize(n, -1);
-  frozen_.resize(n, 0);
-  eliminated_.resize(n, 0);
-  subst_.resize(n, 0);
   for (uint32_t v = old; v < n; ++v) HeapInsert(v);
-}
-
-void CdclSolver::Freeze(uint32_t var) {
-  EnsureVars(var + 1);
-  frozen_[var] = 1;
-}
-
-void CdclSolver::FreezeRange(uint32_t begin, uint32_t end) {
-  if (end == 0) return;
-  EnsureVars(end);
-  for (uint32_t v = begin; v < end; ++v) frozen_[v] = 1;
-}
-
-bool CdclSolver::IsEliminated(uint32_t var) const {
-  return var < eliminated_.size() && eliminated_[var] != 0;
-}
-
-uint64_t CdclSolver::NextRandom() {
-  rng_state_ ^= rng_state_ << 13;
-  rng_state_ ^= rng_state_ >> 7;
-  rng_state_ ^= rng_state_ << 17;
-  return rng_state_;
 }
 
 uint32_t CdclSolver::NewVar() {
@@ -126,15 +98,9 @@ int8_t CdclSolver::FixedValue(uint32_t var) const {
 
 bool CdclSolver::AddClause(std::vector<Lit> lits) {
   DR_CHECK_MSG(DecisionLevel() == 0, "AddClause requires decision level 0");
-  // Route literals through the equivalence substitution; a variable
-  // resolved out by elimination may never reappear (freezing contract).
-  for (Lit& l : lits) {
+  for (Lit l : lits) {
     DR_CHECK(l != 0);
     EnsureVars(LitVar(l) + 1);
-    l = MapLit(l);
-    DR_CHECK_MSG(eliminated_[LitVar(l)] == 0,
-                 "clause mentions an eliminated variable; Freeze() it "
-                 "before inprocessing");
   }
   // Canonicalize: sort by (var, sign), drop duplicates and tautologies,
   // drop literals already false at the top level, detect satisfied ones.
@@ -158,7 +124,6 @@ bool CdclSolver::AddClause(std::vector<Lit> lits) {
     ok_ = false;
     return false;
   }
-  ++clauses_added_;
   if (clean.size() == 1) {
     UncheckedEnqueue(clean[0], nullptr);
     if (Propagate() != nullptr) ok_ = false;
@@ -362,7 +327,7 @@ void CdclSolver::CancelUntil(int target_level) {
   size_t lim = trail_lim_[target_level];
   for (size_t i = trail_.size(); i-- > lim;) {
     uint32_t v = LitVar(trail_[i]);
-    if (options_.phase_saving) saved_phase_[v] = assign_[v];
+    saved_phase_[v] = assign_[v];
     assign_[v] = -1;
     reason_[v] = nullptr;
     if (!HeapInside(v)) HeapInsert(v);
@@ -373,22 +338,9 @@ void CdclSolver::CancelUntil(int target_level) {
 }
 
 Lit CdclSolver::PickBranchLit() {
-  if (options_.seed != 0 && options_.random_branch_freq > 0 &&
-      num_vars() > 0 &&
-      (NextRandom() & 1023) <
-          static_cast<uint64_t>(options_.random_branch_freq * 1024)) {
-    for (int tries = 0; tries < 4; ++tries) {
-      uint32_t v = static_cast<uint32_t>(NextRandom() % num_vars());
-      if (assign_[v] == -1 && eliminated_[v] == 0) {
-        // Left in the heap on purpose: it is skipped as assigned when
-        // popped, or decided normally after a backtrack.
-        return saved_phase_[v] == 1 ? PosLit(v) : NegLit(v);
-      }
-    }
-  }
   while (!heap_.empty()) {
     uint32_t v = HeapPop();
-    if (assign_[v] == -1 && eliminated_[v] == 0) {
+    if (assign_[v] == -1) {
       return saved_phase_[v] == 1 ? PosLit(v) : NegLit(v);
     }
   }
@@ -398,9 +350,7 @@ Lit CdclSolver::PickBranchLit() {
 void CdclSolver::ReduceDb() {
   // Sort learnts by activity ascending; delete the weak half (all
   // removable ones when learning is off). Locked clauses (current
-  // reasons) and binary clauses survive. (The LBD tag only filters the
-  // portfolio clause exchange; folding it into the eviction order was
-  // measurably worse on pigeonhole proofs.)
+  // reasons) and binary clauses survive.
   std::vector<Clause*> order;
   order.reserve(learnts_.size());
   for (auto& c : learnts_) order.push_back(c.get());
@@ -432,8 +382,7 @@ bool CdclSolver::BudgetExhausted() {
 SolveStatus CdclSolver::Search(const std::vector<Lit>& assumptions) {
   WallTimer timer;
   uint64_t conflicts_since_restart = 0;
-  uint64_t restart_limit =
-      options_.restart_base * Luby(stats_.restarts);
+  uint64_t restart_limit = kRestartBase * Luby(stats_.restarts);
   uint64_t checks = 0;
   std::vector<Lit> learnt;
 
@@ -448,21 +397,12 @@ SolveStatus CdclSolver::Search(const std::vector<Lit>& assumptions) {
       }
       int bt_level = 0;
       Analyze(conflict, &learnt, &bt_level);
-      uint32_t lbd = ComputeLbd(learnt);
-      if (exchange_ != nullptr && learnt.size() <= ClauseExchange::kMaxLits &&
-          lbd <= ClauseExchange::kMaxLbd) {
-        exchange_->Publish(learnt.data(),
-                           static_cast<uint32_t>(learnt.size()),
-                           exchange_id_);
-        ++stats_.shared_exported;
-      }
       CancelUntil(bt_level);
       if (learnt.size() == 1) {
         UncheckedEnqueue(learnt[0], nullptr);
       } else {
         auto clause = std::make_unique<Clause>();
         clause->learned = true;
-        clause->lbd = lbd;
         clause->lits = learnt;
         ClauseBumpActivity(clause.get());
         AttachClause(clause.get());
@@ -471,8 +411,8 @@ SolveStatus CdclSolver::Search(const std::vector<Lit>& assumptions) {
         stats_.learned_literals += learnt.size();
         learnts_.push_back(std::move(clause));
       }
-      var_inc_ /= options_.var_decay;
-      clause_inc_ /= options_.clause_decay;
+      var_inc_ /= kVarDecay;
+      clause_inc_ /= kClauseDecay;
       if (BudgetExhausted()) return SolveStatus::kUnknown;
       if ((++checks & 255) == 0) {
         if (Interrupted() ||
@@ -487,14 +427,8 @@ SolveStatus CdclSolver::Search(const std::vector<Lit>& assumptions) {
     if (options_.restarts && conflicts_since_restart >= restart_limit) {
       ++stats_.restarts;
       conflicts_since_restart = 0;
-      restart_limit = options_.restart_base * Luby(stats_.restarts);
+      restart_limit = kRestartBase * Luby(stats_.restarts);
       CancelUntil(0);
-      if (exchange_ != nullptr) {
-        // Back at level 0: adopt sibling lemmas published since the last
-        // restart.
-        ImportShared();
-        if (!ok_) return SolveStatus::kUnsat;
-      }
       continue;
     }
     size_t db_target = options_.learning
@@ -540,126 +474,18 @@ SolveStatus CdclSolver::Solve(const std::vector<Lit>& assumptions) {
   const uint64_t conflicts_before = stats_.conflicts;
   ++stats_.solve_calls;
   if (!ok_) return SolveStatus::kUnsat;
-  // Assumption variables are frozen before inprocessing can run, so
-  // they are never eliminated out from under the caller.
-  for (Lit a : assumptions) Freeze(LitVar(a));
-  MaybeInprocess();
-  if (!ok_) return SolveStatus::kUnsat;
-  if (exchange_ != nullptr) {
-    ImportShared();
-    if (!ok_) return SolveStatus::kUnsat;
-  }
-  // Assumptions on variables substituted by an earlier run (before they
-  // were frozen) are rerouted to their representative; reconstruction
-  // restores the original variable's value in the model.
-  std::vector<Lit> mapped;
-  mapped.reserve(assumptions.size());
-  for (Lit a : assumptions) {
-    Lit m = MapLit(a);
-    DR_CHECK_MSG(eliminated_[LitVar(m)] == 0,
-                 "assumption on an eliminated variable");
-    mapped.push_back(m);
-  }
+  for (Lit a : assumptions) EnsureVars(LitVar(a) + 1);
   if (max_learnts_ < 100) {
     max_learnts_ = std::max<double>(100, clauses_.size() / 3.0);
   }
-  SolveStatus status = Search(mapped);
+  SolveStatus status = Search(assumptions);
   if (status == SolveStatus::kSat) {
     model_.assign(num_vars(), false);
     for (uint32_t v = 0; v < num_vars(); ++v) model_[v] = assign_[v] == 1;
-    recon_.Extend(&model_);
   }
   CancelUntil(0);
   span.SetArg("conflicts", stats_.conflicts - conflicts_before);
   return status;
-}
-
-void CdclSolver::MaybeInprocess() {
-  if (!options_.inprocessing || !ok_ || DecisionLevel() != 0) return;
-  // Tiny formulas are solved in microseconds; even one simplification
-  // sweep costs more than it can save (explicit Inprocess() still works).
-  if (clauses_.size() < options_.inprocess.min_clauses) return;
-  if (inprocessed_once_) {
-    const uint64_t added = clauses_added_ - inprocess_clause_mark_;
-    const uint64_t conflicts = stats_.conflicts - inprocess_conflict_mark_;
-    if (added < std::max<uint64_t>(options_.inprocess.min_new_clauses,
-                                   clauses_.size() / 4) &&
-        conflicts < options_.inprocess.min_new_conflicts) {
-      return;
-    }
-  }
-  Inprocess();
-}
-
-bool CdclSolver::Inprocess() {
-  DR_CHECK_MSG(DecisionLevel() == 0, "Inprocess requires decision level 0");
-  if (!ok_) return false;
-  Inprocessor pipeline(this);
-  bool kept = pipeline.Run();
-  inprocessed_once_ = true;
-  inprocess_clause_mark_ = clauses_added_;
-  inprocess_conflict_mark_ = stats_.conflicts;
-  return kept;
-}
-
-uint32_t CdclSolver::ComputeLbd(const std::vector<Lit>& lits) const {
-  // Distinct decision levels among the literals. Quadratic, but learnt
-  // clauses this is called on are short in practice; wide clauses are
-  // scored by their width (they are poor keepers either way).
-  if (lits.size() > 30) return static_cast<uint32_t>(lits.size());
-  uint32_t lbd = 0;
-  for (size_t i = 0; i < lits.size(); ++i) {
-    int li = level_[LitVar(lits[i])];
-    bool first = true;
-    for (size_t j = 0; j < i; ++j) {
-      if (level_[LitVar(lits[j])] == li) {
-        first = false;
-        break;
-      }
-    }
-    if (first) ++lbd;
-  }
-  return lbd;
-}
-
-bool CdclSolver::ImportClause(std::vector<Lit> lits) {
-  DR_CHECK(DecisionLevel() == 0);
-  if (!ok_) return false;
-  // Same canonicalization as AddClause, but the survivors attach as a
-  // learnt: imported lemmas are implied, so ReduceDb may drop them.
-  std::sort(lits.begin(), lits.end(), [](Lit a, Lit b) {
-    return LitVar(a) != LitVar(b) ? LitVar(a) < LitVar(b) : a < b;
-  });
-  std::vector<Lit> clean;
-  clean.reserve(lits.size());
-  for (Lit l : lits) {
-    if (LitVar(l) >= num_vars() || eliminated_[LitVar(l)] != 0) {
-      return true;  // stale share from a diverged universe: ignore
-    }
-    if (!clean.empty() && clean.back() == l) continue;
-    if (!clean.empty() && LitVar(clean.back()) == LitVar(l)) return true;
-    int8_t val = LitValue(l);
-    if (val == 1) return true;
-    if (val == 0) continue;
-    clean.push_back(l);
-  }
-  if (clean.empty()) {
-    ok_ = false;
-    return false;
-  }
-  ++stats_.shared_imported;
-  if (clean.size() == 1) {
-    UncheckedEnqueue(clean[0], nullptr);
-    if (Propagate() != nullptr) ok_ = false;
-    return ok_;
-  }
-  auto clause = std::make_unique<Clause>();
-  clause->learned = true;
-  clause->lbd = static_cast<uint32_t>(clean.size());
-  clause->lits = std::move(clean);
-  AttachClause(clause.get());
-  learnts_.push_back(std::move(clause));
-  return true;
 }
 
 SatResult SolveSat(const Cnf& cnf) {
@@ -715,10 +541,6 @@ void CdclSolver::HeapSiftUp(size_t i) {
   }
   heap_[i] = v;
   heap_pos_[v] = static_cast<int>(i);
-}
-
-void CdclSolver::HeapRebuild() {
-  for (size_t i = heap_.size() / 2; i-- > 0;) HeapSiftDown(i);
 }
 
 void CdclSolver::HeapSiftDown(size_t i) {

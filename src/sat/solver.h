@@ -16,7 +16,9 @@
 // Learning and restarts are individually switchable (SolverOptions) for
 // the ablation bench; with learning off the engine still backjumps via
 // 1-UIP analysis but aggressively drops the clause database, which is the
-// honest "no learning" baseline.
+// honest "no learning" baseline. Everything else (decay factors, restart
+// unit, phase saving) is a fixed constant in solver.cc: every Min-Ones,
+// entailment and warm solve runs this one configuration.
 #ifndef DELTAREPAIR_SAT_SOLVER_H_
 #define DELTAREPAIR_SAT_SOLVER_H_
 
@@ -26,13 +28,8 @@
 #include <vector>
 
 #include "sat/cnf.h"
-#include "sat/inprocess.h"
-#include "sat/reconstruction.h"
 
 namespace deltarepair {
-
-class ClauseExchange;
-class Inprocessor;
 
 /// Outcome of one Solve() call. kUnknown means a budget, deadline, or
 /// cancellation tripped before an answer was proven.
@@ -45,11 +42,6 @@ const char* SolveStatusName(SolveStatus s);
 struct SolverOptions {
   bool learning = true;
   bool restarts = true;
-  bool phase_saving = true;
-  double var_decay = 0.95;
-  double clause_decay = 0.999;
-  /// Luby restart unit, in conflicts.
-  uint32_t restart_base = 64;
   /// Cumulative (decisions + propagated literals) cap across the lifetime
   /// of the solver; 0 = unlimited. Checked per decision and per conflict.
   uint64_t max_work = 0;
@@ -58,19 +50,6 @@ struct SolverOptions {
   double time_limit_seconds = 0;
   /// Optional cooperative cancellation (checked with the clock).
   const std::atomic<bool>* cancel = nullptr;
-  /// Secondary stop flag, observed like `cancel`. The portfolio driver
-  /// points every clone at a shared first-finisher flag.
-  const std::atomic<bool>* stop = nullptr;
-  /// Runs the inprocessing pipeline between Solve() calls (see
-  /// inprocess.h for the freezing contract). Off by default: callers
-  /// that mention variables across calls must Freeze() them first.
-  bool inprocessing = false;
-  InprocessConfig inprocess;
-  /// Nonzero seeds light decision/phase randomization — the portfolio
-  /// diversification lever. 0 keeps the engine fully deterministic.
-  uint64_t seed = 0;
-  /// Probability of a random branch decision (needs seed != 0).
-  double random_branch_freq = 0;
 };
 
 /// Work counters, cumulative across Solve() calls.
@@ -83,13 +62,6 @@ struct SolverStats {
   uint64_t learned_clauses = 0;
   uint64_t learned_literals = 0;
   uint64_t deleted_clauses = 0;
-  /// Inprocessing pass counters (zero until the pipeline is enabled).
-  InprocessStats inprocess;
-  /// Portfolio counters: races run, clauses published to / adopted from
-  /// the shared ring.
-  uint64_t portfolio_solves = 0;
-  uint64_t shared_exported = 0;
-  uint64_t shared_imported = 0;
 
   /// Decisions + propagations: the work measure budgets are written in
   /// (the moral successor of the old engine's num_assignments).
@@ -127,40 +99,11 @@ class CdclSolver {
   /// Solves under the given assumptions. Learned clauses persist across
   /// calls; assumptions hold only for this call. kUnsat with assumptions
   /// means "unsatisfiable under these assumptions" (the formula itself
-  /// may be satisfiable).
+  /// may be satisfiable). The universe grows to cover every assumption
+  /// variable.
   SolveStatus Solve(const std::vector<Lit>& assumptions = {});
 
-  /// Races `num_workers` diversified clones of this solver (seeded
-  /// phases/restarts/random decisions) on the same problem, sharing
-  /// short low-LBD learned clauses through a lock-free ring; the first
-  /// worker to finish cancels the rest. The verdict matches Solve();
-  /// the model (if any) is whichever worker won, so results are not
-  /// deterministic across runs. Shared clauses are retained in this
-  /// solver afterwards, preserving incremental amortization.
-  SolveStatus SolvePortfolio(int num_workers,
-                             const std::vector<Lit>& assumptions = {});
-
-  /// Marks `var` as frozen: inprocessing will never substitute or
-  /// eliminate it. Any variable the caller mentions after an
-  /// inprocessing run — future clauses, assumptions, cardinality
-  /// inputs/outputs — must be frozen before that run. Assumption
-  /// variables are frozen automatically by Solve().
-  void Freeze(uint32_t var);
-  /// Freezes every variable in [begin, end).
-  void FreezeRange(uint32_t begin, uint32_t end);
-  /// True once `var` was resolved out by variable elimination or
-  /// replaced by an equivalent literal (it may no longer be mentioned
-  /// in clauses or assumptions).
-  bool IsEliminated(uint32_t var) const;
-
-  /// Runs the inprocessing pipeline now (decision level 0), regardless
-  /// of the auto-trigger thresholds. Returns false when simplification
-  /// refutes the formula.
-  bool Inprocess();
-
   /// Model indexed by variable; valid after Solve() returned kSat.
-  /// Eliminated variables are rebuilt via the reconstruction stack, so
-  /// the model satisfies every clause ever added.
   const std::vector<bool>& model() const { return model_; }
 
   /// Sets the decision-polarity hint for `var` (what phase saving will
@@ -183,12 +126,8 @@ class CdclSolver {
   SolverOptions* mutable_options() { return &options_; }
 
  private:
-  friend class Inprocessor;
-
   struct Clause {
     double activity = 0;
-    uint64_t sig = 0;   // variable signature (subsumption scratch)
-    uint32_t lbd = 0;   // literal-block distance at learning time
     bool learned = false;
     bool dead = false;  // marked for removal, reaped in the same pass
     std::vector<Lit> lits;
@@ -230,32 +169,9 @@ class CdclSolver {
   SolveStatus Search(const std::vector<Lit>& assumptions);
   bool BudgetExhausted();
   bool Interrupted() const {
-    return (options_.cancel != nullptr &&
-            options_.cancel->load(std::memory_order_relaxed)) ||
-           (options_.stop != nullptr &&
-            options_.stop->load(std::memory_order_relaxed));
+    return options_.cancel != nullptr &&
+           options_.cancel->load(std::memory_order_relaxed);
   }
-
-  /// Applies the equivalence substitution accumulated by inprocessing.
-  Lit MapLit(Lit l) const {
-    Lit t = subst_[LitVar(l)];
-    if (t == 0) return l;
-    return LitSign(l) ? t : -t;
-  }
-  void MaybeInprocess();
-  uint32_t ComputeLbd(const std::vector<Lit>& lits) const;
-  /// Attaches an implied clause (sibling lemma / retained share) as a
-  /// learnt at decision level 0. Returns false once the formula is
-  /// refuted.
-  bool ImportClause(std::vector<Lit> lits);
-  /// Drains the portfolio ring into this solver.
-  void ImportShared();
-  /// Initializes an empty solver as a searcher clone of `src`: variable
-  /// universe, level-0 trail, problem clauses, short learnts, phases and
-  /// activities (but no reconstruction stack — clones never inprocess).
-  void CopyProblemFrom(const CdclSolver& src);
-  uint64_t NextRandom();
-  void HeapRebuild();
 
   // Indexed max-heap over var activity (decision order).
   void HeapInsert(uint32_t v);
@@ -291,22 +207,6 @@ class CdclSolver {
 
   std::vector<int8_t> seen_;     // per var scratch for Analyze
   double max_learnts_ = 0;       // learned-clause DB size target
-
-  // Inprocessing state.
-  std::vector<uint8_t> frozen_;      // per var: exempt from elimination
-  std::vector<uint8_t> eliminated_;  // per var: substituted or BVE'd
-  std::vector<Lit> subst_;           // per var: representative (0 = self)
-  ReconstructionStack recon_;
-  uint64_t clauses_added_ = 0;            // lifetime AddClause survivors
-  uint64_t inprocess_clause_mark_ = 0;    // clauses_added_ at last run
-  uint64_t inprocess_conflict_mark_ = 0;  // conflicts at last run
-  bool inprocessed_once_ = false;
-
-  // Portfolio state (set on clones by SolvePortfolio).
-  ClauseExchange* exchange_ = nullptr;
-  uint32_t exchange_id_ = 0;
-  uint64_t exchange_cursor_ = 0;
-  uint64_t rng_state_ = 0;
 
   std::vector<bool> model_;
 };

@@ -465,7 +465,7 @@ CqaResult IncrementalEngine::ExecuteCqa(const CqaRequest& request) {
       if (!minones_valid_) break;  // cold fallback
       // The cone decomposition is rebuilt lazily: only when this request
       // grounds enough answers to amortize it (PrepareJudges gates on
-      // SliceOptions::warm_min_answers). mu_ is already held here, so the
+      // kWarmMinAnswers). mu_ is already held here, so the
       // Locked refresh is safe from the provider.
       WarmRepairSpace space(
           &cnf_, last_minones_, request.options.independent.min_ones,

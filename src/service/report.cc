@@ -51,13 +51,10 @@ void WriteOutcomeJson(JsonWriter& json, const Database& db,
   json.Field("sat_learned_clauses", stats.sat_learned_clauses);
   json.Field("sat_restarts", stats.sat_restarts);
   json.Field("sat_solve_calls", stats.sat_solve_calls);
+  // Always 0 since inprocessing was removed; perfbench/ still reads it.
   json.Field("sat_inprocess_runs", stats.sat_inprocess_runs);
-  json.Field("sat_equivalent_vars", stats.sat_equivalent_vars);
-  json.Field("sat_subsumed_clauses", stats.sat_subsumed_clauses);
-  json.Field("sat_strengthened_clauses", stats.sat_strengthened_clauses);
-  json.Field("sat_vivified_clauses", stats.sat_vivified_clauses);
+  // Always 0 since inprocessing was removed; perfbench/ still reads it.
   json.Field("sat_eliminated_vars", stats.sat_eliminated_vars);
-  json.Field("sat_shared_clauses", stats.sat_shared_clauses);
   json.Field("graph_nodes", stats.graph_nodes);
   json.Field("graph_layers", stats.graph_layers);
   json.Field("optimal", stats.optimal);
@@ -137,14 +134,10 @@ void WriteCqaResultJson(JsonWriter& json, const Database& db,
   json.Field("sat_learned_clauses", stats.repair.sat_learned_clauses);
   json.Field("sat_restarts", stats.repair.sat_restarts);
   json.Field("sat_solve_calls", stats.repair.sat_solve_calls);
+  // Always 0 since inprocessing was removed; perfbench/ still reads it.
   json.Field("sat_inprocess_runs", stats.repair.sat_inprocess_runs);
-  json.Field("sat_equivalent_vars", stats.repair.sat_equivalent_vars);
-  json.Field("sat_subsumed_clauses", stats.repair.sat_subsumed_clauses);
-  json.Field("sat_strengthened_clauses",
-             stats.repair.sat_strengthened_clauses);
-  json.Field("sat_vivified_clauses", stats.repair.sat_vivified_clauses);
+  // Always 0 since inprocessing was removed; perfbench/ still reads it.
   json.Field("sat_eliminated_vars", stats.repair.sat_eliminated_vars);
-  json.Field("sat_shared_clauses", stats.repair.sat_shared_clauses);
   json.Field("cone_seconds", stats.slice.cone_seconds);
   json.Field("slice_seconds", stats.slice.slice_seconds);
   json.Field("cone_vars", stats.slice.cone_vars);

@@ -11,9 +11,11 @@ namespace deltarepair {
 
 namespace {
 
-// Version 2 appends a u64 trace id to repair/cqa requests; version-1
-// frames (no trace id) still decode, so old clients keep working.
-constexpr uint8_t kCodecVersion = 2;
+// Version 2 appends a u64 trace id to repair/cqa requests; version 3
+// drops the Min-Ones inprocessing byte and portfolio u32 from the
+// options. Version-1 and -2 frames still decode, so old clients keep
+// working.
+constexpr uint8_t kCodecVersion = 3;
 constexpr uint8_t kMinCodecVersion = 1;
 constexpr size_t kMaxSemanticsLen = 64;
 constexpr size_t kMaxQueryLen = 1u << 20;
@@ -34,11 +36,6 @@ Status ValidateOptions(const RepairOptions& o, const char* what) {
   if (!std::isfinite(m.time_limit_seconds) || m.time_limit_seconds < 0) {
     return Status::InvalidArgument(StrFormat(
         "%s: min_ones.time_limit_seconds must be finite and >= 0", what));
-  }
-  if (m.portfolio_threads < 1 || m.portfolio_threads > kMaxThreads) {
-    return Status::InvalidArgument(
-        StrFormat("%s: min_ones.portfolio_threads must be in [1, %d]",
-                  what, kMaxThreads));
   }
   if (o.step.ordering != StepOrdering::kMaxBenefit &&
       o.step.ordering != StepOrdering::kArbitrary) {
@@ -72,13 +69,12 @@ void PutOptions(BinaryWriter* w, const RepairOptions& o) {
   w->PutU8(m.enable_learning ? 1 : 0);
   w->PutU8(m.enable_restarts ? 1 : 0);
   w->PutU64(m.max_totalizer_area);
-  w->PutU8(m.enable_inprocessing ? 1 : 0);
-  w->PutU32(static_cast<uint32_t>(m.portfolio_threads));
 }
 
-Status GetOptions(BinaryReader* r, RepairOptions* o) {
-  uint8_t verify, ordering, decompose, learning, restarts, inprocess;
-  uint32_t threads, portfolio;
+Status GetOptions(BinaryReader* r, uint8_t version, RepairOptions* o) {
+  uint8_t verify, ordering, decompose, learning, restarts;
+  uint8_t inprocess = 0;
+  uint32_t threads, portfolio = 1;
   MinOnesOptions& m = o->independent.min_ones;
   DR_RETURN_IF_ERROR(r->GetDouble(&o->budget_seconds));
   DR_RETURN_IF_ERROR(r->GetU64(&o->seed));
@@ -91,8 +87,12 @@ Status GetOptions(BinaryReader* r, RepairOptions* o) {
   DR_RETURN_IF_ERROR(r->GetU8(&learning));
   DR_RETURN_IF_ERROR(r->GetU8(&restarts));
   DR_RETURN_IF_ERROR(r->GetU64(&m.max_totalizer_area));
-  DR_RETURN_IF_ERROR(r->GetU8(&inprocess));
-  DR_RETURN_IF_ERROR(r->GetU32(&portfolio));
+  if (version < 3) {
+    // v1/v2 carry the retired inprocessing flag and portfolio thread
+    // count: still validated (they are untrusted bytes), then dropped.
+    DR_RETURN_IF_ERROR(r->GetU8(&inprocess));
+    DR_RETURN_IF_ERROR(r->GetU32(&portfolio));
+  }
   if (verify > 1 || decompose > 1 || learning > 1 || restarts > 1 ||
       inprocess > 1) {
     return Status::InvalidArgument("options: flag byte must be 0 or 1");
@@ -111,8 +111,6 @@ Status GetOptions(BinaryReader* r, RepairOptions* o) {
   m.decompose_components = decompose != 0;
   m.enable_learning = learning != 0;
   m.enable_restarts = restarts != 0;
-  m.enable_inprocessing = inprocess != 0;
-  m.portfolio_threads = static_cast<int>(portfolio);
   // Process-local fields never travel.
   o->cancel = nullptr;
   o->record_provenance = nullptr;
@@ -169,7 +167,7 @@ Status DecodeRepairRequest(std::string_view bytes, RepairRequest* out) {
         "repair request: apply byte must be 0 or 1");
   }
   req.apply = apply != 0;
-  DR_RETURN_IF_ERROR(GetOptions(&r, &req.options));
+  DR_RETURN_IF_ERROR(GetOptions(&r, version, &req.options));
   if (version >= 2) {
     DR_RETURN_IF_ERROR(r.GetU64(&req.trace_id));
   }
@@ -217,7 +215,7 @@ Status DecodeCqaRequest(std::string_view bytes, CqaRequest* out) {
   req.certain = certain != 0;
   req.possible = possible != 0;
   req.annotate = annotate != 0;
-  DR_RETURN_IF_ERROR(GetOptions(&r, &req.options));
+  DR_RETURN_IF_ERROR(GetOptions(&r, version, &req.options));
   if (version >= 2) {
     DR_RETURN_IF_ERROR(r.GetU64(&req.trace_id));
   }

@@ -4,9 +4,9 @@
 // unknown versions, out-of-range knobs, non-finite budgets, and trailing
 // bytes all come back as a typed Status — a decoder never aborts.
 //
-// Process-local fields do not travel: RepairOptions.cancel and
-// record_provenance arrive null (the server wires its own cancellation
-// in), and the nested SAT InprocessConfig keeps its defaults.
+// Process-local fields do not travel: RepairOptions.cancel,
+// record_provenance and MinOnesOptions.cancel arrive null (the server
+// wires its own cancellation in).
 #ifndef DELTAREPAIR_SERVICE_REQUEST_CODEC_H_
 #define DELTAREPAIR_SERVICE_REQUEST_CODEC_H_
 

@@ -258,13 +258,18 @@ TEST(IncrementalEngineTest, DeleteThenReinsertAcrossDeltaBoundary) {
 TEST(IncrementalEngineTest, WideEntailmentCapLeavesFallbackUndecided) {
   // A hub author writing six papers: one component of 7 variables with
   // minimum 1 (delete the author), so its cap has area 7 x 2 = 14. Six
-  // answers stay under SliceOptions::warm_min_answers, so every verdict
-  // runs on the long-lived solver under entail_assumptions().
+  // answers stay under the warm engine's 16-answer slicing threshold,
+  // so every warm verdict runs on the long-lived solver under
+  // entail_assumptions(). The cold engine decides the same answers on
+  // cone slices, whose caps must obey the same area bound.
   Database db;
   Program program = MakeHubAuthorInstance(&db, 6);
+  Database cold_db = db;
   StatusOr<std::unique_ptr<IncrementalEngine>> warm =
       IncrementalEngine::Create(&db, program);
   ASSERT_TRUE(warm.ok());
+  StatusOr<RepairEngine> cold = RepairEngine::Create(&cold_db, program);
+  ASSERT_TRUE(cold.ok());
 
   // Undecided verdicts are never cached, so run the capped request
   // first: below the cap's area the cap is skipped and the verdicts
@@ -279,6 +284,11 @@ TEST(IncrementalEngineTest, WideEntailmentCapLeavesFallbackUndecided) {
     EXPECT_FALSE(answer.certain);
     EXPECT_TRUE(answer.possible);
   }
+  CqaResult cold_uncapped = AnswerQuery(&*cold, request);
+  ASSERT_TRUE(cold_uncapped.ok());
+  EXPECT_EQ(cold_uncapped.stats.undecided_answers, 6u);
+  EXPECT_EQ(cold_uncapped.CertainAnswers(), uncapped_run.CertainAnswers());
+  EXPECT_EQ(cold_uncapped.PossibleAnswers(), uncapped_run.PossibleAnswers());
 
   request.options.independent.min_ones = MinOnesOptions{};
   CqaResult capped_run = (*warm)->ExecuteCqa(request);
@@ -286,6 +296,10 @@ TEST(IncrementalEngineTest, WideEntailmentCapLeavesFallbackUndecided) {
   EXPECT_EQ(capped_run.stats.undecided_answers, 0u);
   EXPECT_EQ(capped_run.CertainAnswers().size(), 6u);
   EXPECT_EQ((*warm)->stats().warm_cqa, 2u);
+  CqaResult cold_capped = AnswerQuery(&*cold, request);
+  ASSERT_TRUE(cold_capped.ok());
+  EXPECT_EQ(cold_capped.stats.undecided_answers, 0u);
+  EXPECT_EQ(cold_capped.CertainAnswers(), capped_run.CertainAnswers());
 }
 
 TEST(IncrementalEngineTest, MassRetirementKeepsSolverSound) {

@@ -1,20 +1,15 @@
-// Concurrency tests for the relation-store split, the parallel
-// RunBatch, and the SAT portfolio mode: parallel outcomes must be
-// identical to the sequential path for all four semantics on the MAS
-// workload, deterministic across repeated runs, and clean under
-// ThreadSanitizer (the CI TSan job runs this suite). Also stresses the
-// shared lazy index build and the lock-free clause-exchange ring
-// directly.
+// Concurrency tests for the relation-store split and the parallel
+// RunBatch: parallel outcomes must be identical to the sequential path
+// for all four semantics on the MAS workload, deterministic across
+// repeated runs, and clean under ThreadSanitizer (the CI TSan job runs
+// this suite). Also stresses the shared lazy index build directly.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <thread>
 #include <vector>
 
-#include "common/random.h"
 #include "repair/repair_engine.h"
 #include "repair/stability.h"
-#include "sat/solver.h"
 #include "tests/test_util.h"
 #include "workload/programs.h"
 
@@ -178,91 +173,6 @@ TEST(ParallelBatchTest, ConcurrentGroundersShareLazyIndexes) {
     EXPECT_GT(counts[w], 0u) << w;
     EXPECT_LE(counts[w], full) << w;
   }
-}
-
-/// Random 3-SAT at the given clause/variable ratio.
-Cnf Random3Sat(uint64_t seed, uint32_t num_vars, double ratio) {
-  Rng rng(seed);
-  Cnf cnf(num_vars);
-  const int num_clauses = static_cast<int>(ratio * num_vars);
-  for (int c = 0; c < num_clauses; ++c) {
-    std::vector<Lit> lits;
-    while (lits.size() < 3) {
-      uint32_t v = static_cast<uint32_t>(rng.NextBounded(num_vars));
-      Lit l = rng.NextBool(0.5) ? PosLit(v) : NegLit(v);
-      if (std::find(lits.begin(), lits.end(), l) == lits.end() &&
-          std::find(lits.begin(), lits.end(), -l) == lits.end()) {
-        lits.push_back(l);
-      }
-    }
-    cnf.AddClause(lits);
-  }
-  return cnf;
-}
-
-// The portfolio race: four diversified workers share learned clauses
-// through the lock-free ring while the first finisher cancels the
-// rest. Every verdict must match a sequential reference, every model
-// must satisfy the formula, and the whole dance must be TSan-clean.
-// Phase-transition instances keep all workers busy long enough that
-// export, import, and cancellation genuinely overlap.
-TEST(ParallelBatchTest, PortfolioMatchesSequentialOnHardInstances) {
-  constexpr int kInstances = 8;
-  int sat = 0;
-  int unsat = 0;
-  for (int i = 0; i < kInstances; ++i) {
-    Cnf cnf = Random3Sat(0x70f011 + static_cast<uint64_t>(i), 48, 4.26);
-    CdclSolver reference;
-    reference.AddCnf(cnf);
-    SolveStatus expected = reference.Solve();
-    ASSERT_NE(expected, SolveStatus::kUnknown);
-
-    CdclSolver racer;
-    racer.AddCnf(cnf);
-    SolveStatus raced = racer.SolvePortfolio(4);
-    SCOPED_TRACE(testing::Message() << "instance " << i);
-    ASSERT_EQ(raced, expected);
-    if (expected == SolveStatus::kSat) {
-      ASSERT_TRUE(cnf.IsSatisfiedBy(racer.model()));
-      ++sat;
-    } else {
-      ++unsat;
-    }
-    EXPECT_EQ(racer.stats().portfolio_solves, 1u);
-  }
-  // The phase-transition generator must exercise both verdicts.
-  EXPECT_GT(sat, 0);
-  EXPECT_GT(unsat, 0);
-}
-
-// Repeated races on ONE long-lived solver: shared clauses drained from
-// the ring after each race stay in the main solver, and blocking
-// clauses added between races must reach the next set of clones.
-TEST(ParallelBatchTest, RepeatedPortfolioRacesStayIncremental) {
-  Cnf cnf = Random3Sat(0x5ee60, 40, 3.5);  // under-constrained: SAT
-  CdclSolver reference;
-  reference.AddCnf(cnf);
-  ASSERT_EQ(reference.Solve(), SolveStatus::kSat);
-
-  CdclSolver solver;
-  solver.AddCnf(cnf);
-  for (int round = 0; round < 6; ++round) {
-    SolveStatus status = solver.SolvePortfolio(4);
-    SCOPED_TRACE(testing::Message() << "round " << round);
-    if (status == SolveStatus::kUnsat) {
-      EXPECT_GT(round, 0);  // the first race must agree with Solve()
-      return;               // blocking clauses exhausted the models
-    }
-    ASSERT_EQ(status, SolveStatus::kSat);
-    ASSERT_TRUE(cnf.IsSatisfiedBy(solver.model()));
-    // Block this model to force fresh work onto the next race.
-    std::vector<Lit> blocking;
-    for (uint32_t v = 0; v < cnf.num_vars(); ++v) {
-      blocking.push_back(solver.model()[v] ? NegLit(v) : PosLit(v));
-    }
-    if (!solver.AddClause(blocking)) return;
-  }
-  EXPECT_EQ(solver.stats().portfolio_solves, 6u);
 }
 
 // Parallel stability verification over thread-local views.

@@ -2,8 +2,7 @@
 // Min-Ones optimizer: ~1k seeded random CNFs are checked against
 // brute-force enumeration — satisfiability, model validity, the exact
 // Min-Ones optimum, and the proved-optimal flag — cycling through the
-// ablation configurations (learning/restarts on and off, and every
-// on/off mask of the four inprocessing passes). A second suite
+// ablation configurations (learning/restarts on and off). A second suite
 // certifies incremental solving under assumptions against brute force
 // with the assumptions added as unit clauses, on one long-lived solver
 // per formula.
@@ -243,85 +242,6 @@ TEST(SatFuzzTest, MinOnesAnytimeContractUnderTinyBudget) {
   }
 }
 
-/// Inprocessing ablation: instance index -> one of the 16 on/off masks
-/// of the four passes, with thresholds forced so the pipeline runs on
-/// every Solve-sized formula instead of waiting for real workloads.
-SolverOptions InprocessConfigFor(int instance) {
-  SolverOptions options;
-  options.inprocessing = true;
-  options.inprocess.scc = (instance & 1) != 0;
-  options.inprocess.subsume = (instance & 2) != 0;
-  options.inprocess.eliminate = (instance & 4) != 0;
-  options.inprocess.vivify = (instance & 8) != 0;
-  options.inprocess.min_clauses = 1;
-  options.inprocess.min_new_clauses = 1;
-  options.inprocess.min_new_conflicts = 1;
-  return options;
-}
-
-TEST(SatFuzzTest, InprocessingAblationMatchesBruteForce) {
-  // Every pass mask must preserve the verdict, and the reconstructed
-  // model must satisfy the ORIGINAL formula — eliminated and
-  // substituted variables included.
-  const int kInstances = ScaledIters(600);
-  for (int i = 0; i < kInstances; ++i) {
-    Rng rng(0x1a9b0c + static_cast<uint64_t>(i));
-    Cnf cnf = RandomCnf(&rng, 10);
-    BruteForce expected = Enumerate(cnf);
-    SCOPED_TRACE(testing::Message() << "instance " << i << " mask "
-                                    << (i % 16) << "\n" << cnf.ToString());
-    CdclSolver solver(InprocessConfigFor(i % 16));
-    solver.AddCnf(cnf);
-    SolveStatus status = solver.Solve();
-    ASSERT_EQ(status == SolveStatus::kSat, expected.satisfiable);
-    if (status == SolveStatus::kSat) {
-      ASSERT_TRUE(cnf.IsSatisfiedBy(solver.model()));
-    }
-  }
-}
-
-TEST(SatFuzzTest, InprocessingIncrementalAssumptionsMatchBruteForce) {
-  // Long-lived solver with explicit inprocessing runs between queries;
-  // all problem variables frozen so any of them may be assumed later.
-  const int kFormulas = ScaledIters(120);
-  constexpr int kQueriesPerFormula = 6;
-  for (int i = 0; i < kFormulas; ++i) {
-    Rng rng(0x1f20ce + static_cast<uint64_t>(i));
-    Cnf cnf = RandomCnf(&rng, 9);
-    CdclSolver solver(InprocessConfigFor(i % 16));
-    solver.AddCnf(cnf);
-    solver.FreezeRange(0, cnf.num_vars());
-    for (int q = 0; q < kQueriesPerFormula; ++q) {
-      if (q == 2 && solver.ok()) {
-        bool still_ok = solver.Inprocess();
-        ASSERT_EQ(still_ok, solver.ok());
-      }
-      std::vector<Lit> assumptions;
-      int num_assumptions = static_cast<int>(rng.NextBounded(4));
-      for (int a = 0; a < num_assumptions; ++a) {
-        uint32_t v =
-            static_cast<uint32_t>(rng.NextBounded(cnf.num_vars()));
-        assumptions.push_back(rng.NextBool(0.5) ? PosLit(v) : NegLit(v));
-      }
-      Cnf augmented = cnf;
-      for (Lit a : assumptions) augmented.AddClause({a});
-      BruteForce expected = Enumerate(augmented);
-      SCOPED_TRACE(testing::Message()
-                   << "formula " << i << " query " << q << "\n"
-                   << augmented.ToString());
-      SolveStatus status = solver.Solve(assumptions);
-      ASSERT_NE(status, SolveStatus::kUnknown);
-      ASSERT_EQ(status == SolveStatus::kSat, expected.satisfiable);
-      if (status == SolveStatus::kSat) {
-        ASSERT_TRUE(cnf.IsSatisfiedBy(solver.model()));
-        for (Lit a : assumptions) {
-          ASSERT_EQ(solver.model()[LitVar(a)], LitSign(a));
-        }
-      }
-    }
-  }
-}
-
 /// Join-shaped CNFs like the deletion encodings, rich in dominated
 /// variables: variables form a forest (each may hang under an earlier
 /// one, like Cite under Publication or Author under Organization), and
@@ -379,29 +299,6 @@ TEST(SatFuzzTest, DominanceRichJoinsMatchBruteForce) {
   }
   // The generator must actually exercise the rule.
   EXPECT_GT(with_dominance, kInstances / 3);
-}
-
-TEST(SatFuzzTest, MinOnesInprocessingAblationMatchesBruteForce) {
-  // The optimizer drives the solver through bounds, blocking clauses,
-  // and totalizer outputs; simplification under the freezing contract
-  // must never change the optimum.
-  const int kInstances = ScaledIters(300);
-  for (int i = 0; i < kInstances; ++i) {
-    Rng rng(0x310a8 + static_cast<uint64_t>(i));
-    Cnf cnf = RandomCnf(&rng, 10);
-    BruteForce expected = Enumerate(cnf);
-    MinOnesOptions options = ConfigFor(i);
-    options.enable_inprocessing = true;
-    options.inprocess = InprocessConfigFor(i % 16).inprocess;
-    MinOnesResult r = MinOnesSat(cnf, options);
-    SCOPED_TRACE(testing::Message() << "instance " << i << " mask "
-                                    << (i % 16) << "\n" << cnf.ToString());
-    ASSERT_EQ(r.satisfiable, expected.satisfiable);
-    if (!expected.satisfiable) continue;
-    ASSERT_TRUE(r.optimal);
-    ASSERT_EQ(static_cast<int>(r.num_true), expected.min_ones);
-    ASSERT_TRUE(cnf.IsSatisfiedBy(r.model));
-  }
 }
 
 }  // namespace

@@ -124,6 +124,10 @@ TEST(CdclSolverTest, SolveUnderAssumptions) {
   EXPECT_EQ(solver.Solve({NegLit(1), NegLit(0)}), SolveStatus::kUnsat);
   EXPECT_TRUE(solver.ok());
   EXPECT_EQ(solver.Solve(), SolveStatus::kSat);
+  // An assumption on a variable no clause mentions grows the universe.
+  EXPECT_EQ(solver.Solve({PosLit(5)}), SolveStatus::kSat);
+  EXPECT_EQ(solver.num_vars(), 6u);
+  EXPECT_TRUE(solver.model()[5]);
 }
 
 TEST(CdclSolverTest, IncrementalAddClauseBetweenSolves) {

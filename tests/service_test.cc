@@ -521,12 +521,12 @@ TEST(RequestCodecTest, RepairRequestRoundTrip) {
   request.options.independent.min_ones.enable_learning = false;
   request.options.independent.min_ones.enable_restarts = false;
   request.options.independent.min_ones.max_totalizer_area = 77;
-  request.options.independent.min_ones.enable_inprocessing = false;
-  request.options.independent.min_ones.portfolio_threads = 2;
 
+  const std::string bytes = EncodeRepairRequest(request);
+  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(bytes[0], 3);  // codec version
   RepairRequest decoded;
-  ASSERT_TRUE(
-      DecodeRepairRequest(EncodeRepairRequest(request), &decoded).ok());
+  ASSERT_TRUE(DecodeRepairRequest(bytes, &decoded).ok());
   EXPECT_EQ(decoded.semantics, "step");
   EXPECT_TRUE(decoded.apply);
   EXPECT_EQ(decoded.options.budget_seconds, 1.5);
@@ -541,11 +541,66 @@ TEST(RequestCodecTest, RepairRequestRoundTrip) {
   EXPECT_FALSE(mo.enable_learning);
   EXPECT_FALSE(mo.enable_restarts);
   EXPECT_EQ(mo.max_totalizer_area, 77u);
-  EXPECT_FALSE(mo.enable_inprocessing);
-  EXPECT_EQ(mo.portfolio_threads, 2);
   // Process-local fields never travel.
   EXPECT_EQ(decoded.options.cancel, nullptr);
   EXPECT_EQ(decoded.options.record_provenance, nullptr);
+}
+
+/// A version-2 repair frame, laid out by hand: v2 options still carry
+/// two retired Min-Ones fields, a flag byte and a thread count.
+std::string V2RepairFrame(uint8_t retired_flag, uint32_t retired_threads) {
+  BinaryWriter w;
+  w.PutU8(2);              // version
+  w.PutString("step");     // semantics
+  w.PutU8(1);              // apply
+  w.PutDouble(1.5);        // budget_seconds
+  w.PutU64(42);            // seed
+  w.PutU8(1);              // verify_after_run
+  w.PutU32(3);             // threads
+  w.PutU8(static_cast<uint8_t>(StepOrdering::kArbitrary));
+  w.PutU64(123);           // min_ones.max_assignments
+  w.PutDouble(0.25);       // min_ones.time_limit_seconds
+  w.PutU8(0);              // min_ones.decompose_components
+  w.PutU8(0);              // min_ones.enable_learning
+  w.PutU8(1);              // min_ones.enable_restarts
+  w.PutU64(77);            // min_ones.max_totalizer_area
+  w.PutU8(retired_flag);
+  w.PutU32(retired_threads);
+  w.PutU64(0xfeed);        // trace_id
+  return w.Take();
+}
+
+TEST(RequestCodecTest, V2RepairFrameStillDecodes) {
+  RepairRequest decoded;
+  Status st = DecodeRepairRequest(V2RepairFrame(1, 4), &decoded);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(decoded.semantics, "step");
+  EXPECT_TRUE(decoded.apply);
+  EXPECT_EQ(decoded.options.budget_seconds, 1.5);
+  EXPECT_EQ(decoded.options.seed, 42u);
+  EXPECT_TRUE(decoded.options.verify_after_run);
+  EXPECT_EQ(decoded.options.threads, 3);
+  EXPECT_EQ(decoded.options.step.ordering, StepOrdering::kArbitrary);
+  const MinOnesOptions& mo = decoded.options.independent.min_ones;
+  EXPECT_EQ(mo.max_assignments, 123u);
+  EXPECT_EQ(mo.time_limit_seconds, 0.25);
+  EXPECT_FALSE(mo.decompose_components);
+  EXPECT_FALSE(mo.enable_learning);
+  EXPECT_TRUE(mo.enable_restarts);
+  EXPECT_EQ(mo.max_totalizer_area, 77u);
+  EXPECT_EQ(decoded.trace_id, 0xfeedu);
+}
+
+TEST(RequestCodecTest, V2RetiredFieldsAreStillValidated) {
+  // The retired bytes come from outside the process: decoding checks
+  // them before dropping them.
+  RepairRequest decoded;
+  Status bad_flag = DecodeRepairRequest(V2RepairFrame(2, 1), &decoded);
+  EXPECT_EQ(bad_flag.code(), StatusCode::kInvalidArgument)
+      << bad_flag.ToString();
+  Status bad_threads = DecodeRepairRequest(V2RepairFrame(0, 1025), &decoded);
+  EXPECT_EQ(bad_threads.code(), StatusCode::kInvalidArgument)
+      << bad_threads.ToString();
 }
 
 TEST(RequestCodecTest, CqaRequestRoundTrip) {
