@@ -38,7 +38,12 @@ int Main() {
         .Metric("stage_seconds", stage.stats.total_seconds)
         .Metric("step_seconds", step.stats.total_seconds)
         .Metric("independent_seconds", ind.stats.total_seconds)
-        .Metric("end_deleted", static_cast<int64_t>(end.size()));
+        .Metric("end_deleted", static_cast<int64_t>(end.size()))
+        // Join work: ground assignments over the four runs. Deterministic
+        // for the seeded data, so bench_compare gates it as a counter.
+        .Metric("work", static_cast<int64_t>(
+                            end.stats.assignments + stage.stats.assignments +
+                            step.stats.assignments + ind.stats.assignments));
     table.AddRow({std::to_string(num), Ms(end.stats.total_seconds),
                   Ms(stage.stats.total_seconds), Ms(step.stats.total_seconds),
                   Ms(ind.stats.total_seconds), std::to_string(end.size())});

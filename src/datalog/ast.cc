@@ -42,6 +42,24 @@ bool EvalCmp(const Value& lhs, CmpOp op, const Value& rhs) {
   return false;
 }
 
+bool CmpHolds(CmpOp op, int three_way) {
+  switch (op) {
+    case CmpOp::kEq:
+      return three_way == 0;
+    case CmpOp::kNe:
+      return three_way != 0;
+    case CmpOp::kLt:
+      return three_way < 0;
+    case CmpOp::kLe:
+      return three_way <= 0;
+    case CmpOp::kGt:
+      return three_way > 0;
+    case CmpOp::kGe:
+      return three_way >= 0;
+  }
+  return false;
+}
+
 int Rule::NumDeltaBodyAtoms() const {
   int n = 0;
   for (const auto& a : body) n += a.is_delta ? 1 : 0;

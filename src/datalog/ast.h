@@ -54,6 +54,17 @@ const char* CmpOpName(CmpOp op);
 /// Evaluates `lhs op rhs` over concrete values.
 bool EvalCmp(const Value& lhs, CmpOp op, const Value& rhs);
 
+/// `op` applied to a three-way comparison result (<0, 0, >0).
+bool CmpHolds(CmpOp op, int three_way);
+
+/// Evaluates `lhs op rhs` over cell codes of `dict`; agrees with EvalCmp
+/// on the decoded values. `=` and `!=` compare the codes alone.
+inline bool EvalCmp(const ValueDict& dict, Code lhs, CmpOp op, Code rhs) {
+  if (op == CmpOp::kEq) return lhs == rhs;
+  if (op == CmpOp::kNe) return lhs != rhs;
+  return CmpHolds(op, dict.Compare(lhs, rhs));
+}
+
 /// A comparison body item, e.g. "n = 'ERC'" or "pid < c".
 struct Comparison {
   Term lhs;

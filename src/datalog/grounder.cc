@@ -8,21 +8,32 @@ namespace deltarepair {
 
 namespace {
 
-/// Value of `t` under `values` (the join's bindings: pointers to the row
-/// cells each variable was bound to).
-const Value& TermValue(const Term& t, const std::vector<const Value*>& values) {
-  return t.is_const() ? t.constant : *values[t.var];
+/// `op` with its sides swapped: a < b exactly when b > a.
+CmpOp Mirror(CmpOp op) {
+  switch (op) {
+    case CmpOp::kLt:
+      return CmpOp::kGt;
+    case CmpOp::kLe:
+      return CmpOp::kGe;
+    case CmpOp::kGt:
+      return CmpOp::kLt;
+    case CmpOp::kGe:
+      return CmpOp::kLe;
+    default:
+      return op;
+  }
 }
 
 }  // namespace
 
-std::vector<Grounder::PlanStep> Grounder::MakePlan(const Rule& rule,
-                                                   int pivot_atom) const {
+Grounder::Plan Grounder::MakePlan(const Rule& rule, int pivot_atom) const {
+  const ValueDict& dict = view_->db().dict();
   const size_t n = rule.body.size();
+  Plan plan;
+  std::vector<PlanStep>& steps = plan.steps;
   std::vector<uint8_t> chosen(n, 0);
   std::vector<uint8_t> var_bound(rule.num_vars, 0);
-  std::vector<PlanStep> plan;
-  plan.reserve(n);
+  steps.reserve(n);
 
   auto bind_atom_vars = [&](int atom) {
     for (const auto& t : rule.body[atom].terms) {
@@ -40,11 +51,11 @@ std::vector<Grounder::PlanStep> Grounder::MakePlan(const Rule& rule,
   if (pivot_atom >= 0) {
     PlanStep step;
     step.atom = pivot_atom;
-    plan.push_back(std::move(step));
+    steps.push_back(std::move(step));
     chosen[pivot_atom] = 1;
     bind_atom_vars(pivot_atom);
   }
-  while (plan.size() < n) {
+  while (steps.size() < n) {
     int best = -1;
     int best_score = -1;
     size_t best_rows = 0;
@@ -65,28 +76,64 @@ std::vector<Grounder::PlanStep> Grounder::MakePlan(const Rule& rule,
     }
     PlanStep step;
     step.atom = best;
-    plan.push_back(std::move(step));
+    steps.push_back(std::move(step));
     chosen[best] = 1;
     bind_atom_vars(best);
+  }
+
+  // `var = constant` comparisons fix their variable to the constant's
+  // code. The comparison is then implied by the probe key of the step
+  // that first binds the variable, and is not checked again.
+  std::vector<uint8_t> cmp_done(rule.comparisons.size(), 0);
+  auto fixed_code = [&](uint32_t var) -> const Code* {
+    for (const auto& [v, code] : plan.fixed) {
+      if (v == var) return &code;
+    }
+    return nullptr;
+  };
+  for (size_t c = 0; c < rule.comparisons.size(); ++c) {
+    const Comparison& cmp = rule.comparisons[c];
+    if (cmp.op != CmpOp::kEq || cmp.lhs.is_var() == cmp.rhs.is_var()) {
+      continue;
+    }
+    const uint32_t var = cmp.lhs.is_var() ? cmp.lhs.var : cmp.rhs.var;
+    const Value& constant =
+        cmp.lhs.is_var() ? cmp.rhs.constant : cmp.lhs.constant;
+    Code code;
+    const Code* fixed = fixed_code(var);
+    if (!dict.Find(constant, &code) || (fixed != nullptr && *fixed != code)) {
+      plan.empty = true;
+      return plan;
+    }
+    if (fixed == nullptr) plan.fixed.emplace_back(var, code);
+    cmp_done[c] = 1;
   }
 
   // Per step: the column ops and probe mask, and each comparison attached
   // to the earliest plan step at which both sides are bound. All depend
   // only on the binding *order*, never on row values, so they are fixed
   // here instead of being recomputed in the hot join loop.
-  // Constant-only comparisons are attached to step 0's checks (they hold
-  // or fail for the whole rule).
+  // Constant-only comparisons are checked once per EnumerateRule call.
   std::fill(var_bound.begin(), var_bound.end(), 0);
-  std::vector<uint8_t> cmp_done(rule.comparisons.size(), 0);
-  for (size_t s = 0; s < plan.size(); ++s) {
-    const Atom& atom = rule.body[plan[s].atom];
+  for (PlanStep& step : steps) {
+    const Atom& atom = rule.body[step.atom];
     for (size_t c = 0; c < atom.terms.size(); ++c) {
       const Term& t = atom.terms[c];
       ColumnOp op;
       op.column = static_cast<uint32_t>(c);
       if (t.is_const()) {
         op.kind = ColumnOp::kConst;
-        op.constant = &t.constant;
+        // A constant without a code matches no stored cell.
+        if (!dict.Find(t.constant, &op.constant)) {
+          plan.empty = true;
+          return plan;
+        }
+      } else if (fixed_code(t.var) != nullptr && var_bound[t.var] != 1) {
+        // First bound at this step: every column holding it is a key
+        // column with the fixed code.
+        op.kind = ColumnOp::kConst;
+        op.constant = *fixed_code(t.var);
+        var_bound[t.var] = 2;
       } else {
         op.var = t.var;
         op.kind = var_bound[t.var] ? ColumnOp::kCheck : ColumnOp::kBind;
@@ -95,10 +142,10 @@ std::vector<Grounder::PlanStep> Grounder::MakePlan(const Rule& rule,
         if (!var_bound[t.var]) var_bound[t.var] = 2;
       }
       if (op.kind == ColumnOp::kConst || var_bound[op.var] == 1) {
-        plan[s].mask |= (1ULL << c);
-        plan[s].key.push_back(op);
+        step.mask |= (1ULL << c);
+        step.key.push_back(op);
       }
-      plan[s].ops.push_back(op);
+      step.ops.push_back(op);
     }
     for (const auto& t : atom.terms) {
       if (t.is_var()) var_bound[t.var] = 1;
@@ -109,10 +156,30 @@ std::vector<Grounder::PlanStep> Grounder::MakePlan(const Rule& rule,
       auto side_ok = [&](const Term& t) {
         return t.is_const() || var_bound[t.var];
       };
-      if (side_ok(cmp.lhs) && side_ok(cmp.rhs)) {
-        plan[s].cmp_checks.push_back(static_cast<int>(c));
-        cmp_done[c] = 1;
+      if (!side_ok(cmp.lhs) || !side_ok(cmp.rhs)) continue;
+      cmp_done[c] = 1;
+      if (cmp.lhs.is_const() && cmp.rhs.is_const()) continue;
+      CmpCheck check;
+      check.op = cmp.op;
+      const Term* lhs = &cmp.lhs;
+      const Term* rhs = &cmp.rhs;
+      // Keep a constant without a code on the right-hand side; a
+      // constant left on the left has its code in check.lhs.code.
+      if (lhs->is_const() && !dict.Find(lhs->constant, &check.lhs.code)) {
+        std::swap(lhs, rhs);
+        check.op = Mirror(check.op);
       }
+      check.lhs.is_var = lhs->is_var();
+      if (lhs->is_var()) check.lhs.var = lhs->var;
+      check.rhs.is_var = rhs->is_var();
+      if (rhs->is_var()) {
+        check.rhs.var = rhs->var;
+      } else if (!dict.Find(rhs->constant, &check.rhs.code)) {
+        // No cell equals it: `!=` always holds (`=` made the plan empty).
+        if (check.op == CmpOp::kNe) continue;
+        check.foreign = &rhs->constant;
+      }
+      step.cmp_checks.push_back(check);
     }
   }
   return plan;
@@ -131,8 +198,12 @@ bool Grounder::EnumerateRule(const Rule& rule, int rule_index, BaseMatch bm,
   const uint64_t assignments_before = assignments_enumerated_;
   uint64_t probes = 0;
   uint64_t rows_visited = 0;
-  std::vector<PlanStep> plan = MakePlan(rule, pivot_atom);
-  std::vector<const Value*> values(rule.num_vars, nullptr);
+  Plan plan = MakePlan(rule, pivot_atom);
+  std::vector<PlanStep>& steps = plan.steps;
+  const ValueDict& dict = view_->db().dict();
+  // Bindings: the code each variable is bound to.
+  std::vector<Code> values(rule.num_vars, 0);
+  for (const auto& [var, code] : plan.fixed) values[var] = code;
   // The one assignment every leaf overwrites: body[i] is the row bound to
   // atom i (set when its plan step binds it).
   GroundAssignment ga;
@@ -141,23 +212,28 @@ bool Grounder::EnumerateRule(const Rule& rule, int rule_index, BaseMatch bm,
   ga.body.resize(rule.body.size());
 
   // Comparisons between two constants never depend on bindings; check once.
+  bool satisfiable = !plan.empty;
   for (const auto& cmp : rule.comparisons) {
-    if (cmp.lhs.is_const() && cmp.rhs.is_const()) {
-      if (!EvalCmp(cmp.lhs.constant, cmp.op, cmp.rhs.constant)) return true;
+    if (cmp.lhs.is_const() && cmp.rhs.is_const() &&
+        !EvalCmp(cmp.lhs.constant, cmp.op, cmp.rhs.constant)) {
+      satisfiable = false;
     }
   }
 
   bool keep_going = true;
+  auto side = [&](const CmpCheck::Side& s) {
+    return s.is_var ? values[s.var] : s.code;
+  };
 
   // Depth-first join over plan steps.
   auto recurse = [&](auto&& self, size_t depth) -> void {
-    if (depth == plan.size()) {
+    if (depth == steps.size()) {
       ga.head = rule.self_atom >= 0 ? ga.body[rule.self_atom] : TupleId{};
       ++assignments_enumerated_;
       if (!cb(ga)) keep_going = false;
       return;
     }
-    PlanStep& step = plan[depth];
+    PlanStep& step = steps[depth];
     const Atom& atom = rule.body[step.atom];
     const uint32_t rel_index = static_cast<uint32_t>(atom.relation_index);
     const Relation& rel = view_->relation(rel_index);
@@ -180,30 +256,31 @@ bool Grounder::EnumerateRule(const Rule& rule, int rule_index, BaseMatch bm,
     auto try_row = [&](uint32_t r) {
       ++rows_visited;
       if (!member_ok(r)) return;
-      const Tuple& row = rel.row(r);
+      const Code* row = rel.codes(r);
       // Verify constants and earlier bindings, bind the rest. A variable
       // bound here is simply overwritten by the next candidate row, so
       // backtracking has nothing to undo.
       for (const ColumnOp& op : step.ops) {
-        const Value& cell = row[op.column];
+        const Code cell = row[op.column];
         switch (op.kind) {
           case ColumnOp::kConst:
-            if (!(*op.constant == cell)) return;
+            if (cell != op.constant) return;
             break;
           case ColumnOp::kCheck:
-            if (!(*values[op.var] == cell)) return;
+            if (cell != values[op.var]) return;
             break;
           case ColumnOp::kBind:
-            values[op.var] = &cell;
+            values[op.var] = cell;
             break;
         }
       }
-      for (int c : step.cmp_checks) {
-        const Comparison& cmp = rule.comparisons[c];
-        if (!EvalCmp(TermValue(cmp.lhs, values), cmp.op,
-                     TermValue(cmp.rhs, values))) {
-          return;
-        }
+      for (const CmpCheck& cmp : step.cmp_checks) {
+        const Code lhs = side(cmp.lhs);
+        const bool holds =
+            cmp.foreign != nullptr
+                ? CmpHolds(cmp.op, dict.Compare(lhs, *cmp.foreign))
+                : EvalCmp(dict, lhs, cmp.op, side(cmp.rhs));
+        if (!holds) return;
       }
       ga.body[step.atom] = TupleId{rel_index, r};
       self(self, depth + 1);
@@ -220,9 +297,9 @@ bool Grounder::EnumerateRule(const Rule& rule, int rule_index, BaseMatch bm,
       // Hash the probe key straight from the constants and bindings.
       uint64_t h = Relation::KeyHashSeed(step.mask);
       for (const ColumnOp& op : step.key) {
-        const Value& v =
-            op.kind == ColumnOp::kConst ? *op.constant : *values[op.var];
-        h = HashCombine(h, v.Hash());
+        h = HashCombine(h, dict.Hash(op.kind == ColumnOp::kConst
+                                         ? op.constant
+                                         : values[op.var]));
       }
       ++probes;
       for (uint32_t r = step.index->Head(h);
@@ -236,7 +313,7 @@ bool Grounder::EnumerateRule(const Rule& rule, int rule_index, BaseMatch bm,
     }
   };
 
-  recurse(recurse, 0);
+  if (satisfiable) recurse(recurse, 0);
   span.SetArg("assignments", assignments_enumerated_ - assignments_before);
   span.SetArg("probes", probes);
   span.SetArg("rows_visited", rows_visited);

@@ -3,19 +3,29 @@
 // engine behind all four semantics, the stability check, provenance
 // construction, and the trigger emulator.
 //
-// The grounder reads row data and hash indexes from the shared Relation
+// The grounder reads row codes and hash indexes from the shared Relation
 // storage and membership (live/delta) from an InstanceView, so concurrent
 // grounders over per-thread views never race: index construction is the
 // only shared mutation and Relation::EnsureIndex serializes it.
 //
-// The join allocates nothing per probe or per assignment. A rule's plan
-// fixes, per step, which columns are checked against constants or
-// earlier bindings and which bind new variables; bindings are pointers
-// to the cells of the rows they came from (rows are immutable while
-// grounding), probe keys are hashed straight from those cells, and one
-// GroundAssignment per EnumerateRule call is overwritten at every leaf.
-// A callback therefore sees an assignment that is valid only for the
-// duration of the call: it must copy whatever it keeps.
+// The join runs on 8-byte cell codes (relation/relation.h) and allocates
+// nothing per probe or per assignment. A rule's plan fixes, per step,
+// which columns are checked against constants or earlier bindings and
+// which bind new variables; rule constants are encoded once per plan,
+// bindings are codes copied from the rows they came from, checks compare
+// codes as integers, and probe keys hash codes through the dictionary's
+// cached hashes. No Value is built, compared or hashed per row: only an
+// order comparison against a string or a large int reads the
+// dictionary. One GroundAssignment per EnumerateRule call is overwritten
+// at every leaf. A callback therefore sees an assignment that is valid
+// only for the duration of the call: it must copy whatever it keeps.
+//
+// A constant the dictionary lacks matches no cell: an atom or an `=`
+// comparison that needs it makes the rule empty, and the order operators
+// compare against it by value. A `var = constant` comparison turns the
+// columns holding that variable, at the step that first binds it, into
+// constant probe-key columns: the step probes instead of scanning and
+// yields the same rows in the same ascending order.
 //
 // Two orthogonal matching modes select which tuples a body atom ranges
 // over:
@@ -106,19 +116,34 @@ class Grounder {
     enum Kind : uint8_t { kConst, kCheck, kBind };
     Kind kind = kConst;
     uint32_t column = 0;
-    uint32_t var = 0;                   // kCheck / kBind
-    const Value* constant = nullptr;    // kConst
+    uint32_t var = 0;   // kCheck / kBind
+    Code constant = 0;  // kConst
+  };
+
+  /// A comparison with both sides bound at its step. The left side is a
+  /// variable or a constant's code; the right side may also be a
+  /// constant the dictionary lacks (`foreign`), compared by value.
+  struct CmpCheck {
+    struct Side {
+      bool is_var = false;
+      uint32_t var = 0;  // is_var
+      Code code = 0;     // !is_var
+    };
+    CmpOp op = CmpOp::kEq;
+    Side lhs, rhs;
+    const Value* foreign = nullptr;  // when set, the right side
   };
 
   struct PlanStep {
-    int atom = -1;                // body atom index
-    std::vector<int> cmp_checks;  // comparisons first fully bound here
+    int atom = -1;                     // body atom index
+    std::vector<CmpCheck> cmp_checks;  // comparisons first fully bound here
     // Per column, in column order: compare with a constant, compare with
     // a variable bound earlier (by a previous step or an earlier column
     // of this atom), or bind a fresh variable to the cell.
     std::vector<ColumnOp> ops;
     // Probe mask over the atom's columns: a column is in the mask when
-    // its term is a constant or a variable bound by an earlier step.
+    // its term is a constant, a variable fixed by `var = constant`, or a
+    // variable bound by an earlier step.
     Relation::ColumnMask mask = 0;
     // The masked columns' ops, in ascending column order: the probe key.
     std::vector<ColumnOp> key;
@@ -126,7 +151,17 @@ class Grounder {
     const Relation::Index* index = nullptr;
   };
 
-  std::vector<PlanStep> MakePlan(const Rule& rule, int pivot_atom) const;
+  struct Plan {
+    std::vector<PlanStep> steps;
+    // Variables fixed by a `var = constant` comparison, with the code
+    // every assignment binds them to (preset in the bindings).
+    std::vector<std::pair<uint32_t, Code>> fixed;
+    // No assignment exists: a constant the rule needs equality with has
+    // no code, or two `var = constant` comparisons disagree.
+    bool empty = false;
+  };
+
+  Plan MakePlan(const Rule& rule, int pivot_atom) const;
 
   InstanceView* view_;
   uint64_t assignments_enumerated_ = 0;

@@ -55,7 +55,7 @@ HoloCleanReport RunHoloClean(Database* db, const std::string& relation,
   // Working copy of the table.
   report.rows.reserve(rel->num_rows());
   for (uint32_t r = 0; r < rel->num_rows(); ++r) {
-    if (rel_view.live(r)) report.rows.push_back(rel->row(r));
+    if (rel_view.live(r)) report.rows.push_back(rel->DecodeRow(r));
   }
   const size_t n = report.rows.size();
 

@@ -24,7 +24,10 @@ void WriteStructuredLine(LogLevel level, uint64_t trace_id, const char* fmt,
   time_t secs = tv.tv_sec;
   gmtime_r(&secs, &utc);
 
-  char ts[40];
+  // Sized for the worst case: seven ints of up to 11 characters each plus
+  // the 7 separators and the terminator (85 bytes), so out-of-range tm
+  // fields print in full instead of being cut.
+  char ts[96];
   std::snprintf(ts, sizeof(ts), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday, utc.tm_hour,
                 utc.tm_min, utc.tm_sec, static_cast<int>(tv.tv_usec / 1000));

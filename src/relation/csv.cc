@@ -10,9 +10,10 @@ namespace deltarepair {
 
 Status LoadCsvIntoDatabase(Database* db, const std::string& relation_name,
                            const std::string& csv_text) {
-  // Lines and cells are views into `csv_text`: the only per-row heap
-  // allocation is the stored tuple, so an import leaves no freed
-  // temporaries interleaved with the rows.
+  // Lines and cells are views into `csv_text`, and one Tuple buffer is
+  // reused for every row: the relation keeps the row as cell codes, so a
+  // row allocates only for long string cells and for values new to the
+  // dictionary.
   size_t pos = 0;
   auto take_line = [&]() {
     size_t end = csv_text.find('\n', pos);
@@ -58,6 +59,7 @@ Status LoadCsvIntoDatabase(Database* db, const std::string& relation_name,
   const RelationSchema& schema = db->relation(rel).schema();
 
   std::vector<std::string_view> cells;
+  Tuple tuple;  // reused across rows; the relation stores codes
   for (size_t line_no = 2; pos <= csv_text.size(); ++line_no) {
     const std::string_view line = Trim(take_line());
     if (line.empty()) continue;
@@ -76,8 +78,7 @@ Status LoadCsvIntoDatabase(Database* db, const std::string& relation_name,
                     relation_name.c_str(), line_no, schema.arity(),
                     cells.size()));
     }
-    Tuple tuple;
-    tuple.reserve(cells.size());
+    tuple.clear();
     for (size_t c = 0; c < cells.size(); ++c) {
       std::string cell = std::string(Trim(cells[c]));
       if (schema.attribute(c).type == ValueType::kInt) {
@@ -93,7 +94,7 @@ Status LoadCsvIntoDatabase(Database* db, const std::string& relation_name,
         tuple.emplace_back(std::move(cell));
       }
     }
-    db->Insert(rel, std::move(tuple));
+    db->Insert(rel, tuple);
   }
   return Status::OK();
 }
@@ -124,7 +125,7 @@ std::string RelationToCsv(const Database& db, uint32_t rel) {
   out += '\n';
   for (uint32_t r = 0; r < relation.num_rows(); ++r) {
     if (!view.live(r)) continue;
-    const Tuple& t = relation.row(r);
+    const Tuple t = relation.DecodeRow(r);
     for (size_t c = 0; c < t.size(); ++c) {
       if (c) out += ',';
       out += t[c].is_string() ? t[c].AsString() : t[c].ToString();

@@ -5,42 +5,50 @@
 namespace deltarepair {
 
 Database::Database(const Database& other)
-    : relations_(other.relations_),
+    : dict_(other.dict_),
+      relations_(other.relations_),
       by_name_(other.by_name_),
       base_(other.base_),
       version_(other.version_),
       history_(other.history_) {
+  BindDict();
   base_.db_ = this;
 }
 
 Database& Database::operator=(const Database& other) {
   if (this != &other) {
+    dict_ = other.dict_;
     relations_ = other.relations_;
     by_name_ = other.by_name_;
     base_ = other.base_;
     version_ = other.version_;
     history_ = other.history_;
+    BindDict();
     base_.db_ = this;
   }
   return *this;
 }
 
 Database::Database(Database&& other) noexcept
-    : relations_(std::move(other.relations_)),
+    : dict_(std::move(other.dict_)),
+      relations_(std::move(other.relations_)),
       by_name_(std::move(other.by_name_)),
       base_(std::move(other.base_)),
       version_(other.version_),
       history_(std::move(other.history_)) {
+  BindDict();
   base_.db_ = this;
 }
 
 Database& Database::operator=(Database&& other) noexcept {
   if (this != &other) {
+    dict_ = std::move(other.dict_);
     relations_ = std::move(other.relations_);
     by_name_ = std::move(other.by_name_);
     base_ = std::move(other.base_);
     version_ = other.version_;
     history_ = std::move(other.history_);
+    BindDict();
     base_.db_ = this;
   }
   return *this;
@@ -51,7 +59,7 @@ uint32_t Database::AddRelation(RelationSchema schema) {
   DR_CHECK_MSG(schema.arity() <= kMaxArity, "relation wider than kMaxArity");
   uint32_t idx = static_cast<uint32_t>(relations_.size());
   by_name_[schema.name()] = idx;
-  relations_.emplace_back(std::move(schema));
+  relations_.emplace_back(std::move(schema), &dict_);
   base_.db_ = this;
   base_.rels_.emplace_back(size_t{0});
   return idx;
@@ -67,20 +75,20 @@ const Relation* Database::FindRelation(const std::string& name) const {
   return i < 0 ? nullptr : &relations_[i];
 }
 
-TupleId Database::Insert(uint32_t rel, Tuple t) {
-  InsertResult r = InsertChecked(rel, std::move(t));
+TupleId Database::Insert(uint32_t rel, const Tuple& t) {
+  InsertResult r = InsertChecked(rel, t);
   return TupleId{rel, r.row};
 }
 
-TupleId Database::Insert(const std::string& rel, Tuple t) {
+TupleId Database::Insert(const std::string& rel, const Tuple& t) {
   int i = RelationIndex(rel);
   DR_CHECK_MSG(i >= 0, "unknown relation: " + rel);
-  return Insert(static_cast<uint32_t>(i), std::move(t));
+  return Insert(static_cast<uint32_t>(i), t);
 }
 
-InsertResult Database::InsertChecked(uint32_t rel, Tuple t) {
+InsertResult Database::InsertChecked(uint32_t rel, const Tuple& t) {
   DR_CHECK(rel < relations_.size());
-  return base_.Insert(rel, std::move(t));
+  return base_.Insert(rel, t);
 }
 
 Delta Database::ApplyUpdate(uint32_t rel, bool is_insert,
@@ -92,7 +100,7 @@ Delta Database::ApplyUpdate(uint32_t rel, bool is_insert,
   d.rels.resize(relations_.size());
   for (const Tuple& t : tuples) {
     if (is_insert) {
-      InsertResult r = relations_[rel].InternRow(Tuple(t));
+      InsertResult r = relations_[rel].InternRow(t);
       // Realized only when the row was not live before (new slot or a
       // revival of a retracted/deleted row).
       if (base_.rel(rel).AdoptLive(r.row)) d.rels[rel].inserted.push_back(r.row);
@@ -126,6 +134,10 @@ bool Database::DeltaSince(uint64_t from_version, Delta* out) const {
   *out = history_[i];
   for (++i; i < history_.size(); ++i) out->MergeFrom(history_[i]);
   return true;
+}
+
+void Database::BindDict() {
+  for (Relation& r : relations_) r.dict_ = &dict_;
 }
 
 size_t Database::TotalRows() const {

@@ -1,11 +1,20 @@
 // Database: shared relation storage plus the canonical instance state.
 // The database instance D of the paper is the set of live tuples; ∆(S) is
-// tracked through per-row delta flags. Storage (rows, schema, dedupe,
-// indexes — see relation/relation.h) is owned here and shared read-only
-// by any number of InstanceViews; the Database keeps one distinguished
-// `base_view()` holding the canonical live/delta state, and every legacy
-// entry point (Insert/MarkDeleted/SaveState/...) delegates to it.
-// Concurrent repair runs take per-thread copies via SnapshotView().
+// tracked through per-row delta flags. Storage — each relation's rows as
+// flat cell codes, its dedupe table and indexes (relation/relation.h) —
+// and the one ValueDict every relation's codes index are owned here and
+// shared read-only by any number of InstanceViews. The Database keeps
+// one distinguished `base_view()` holding the canonical live/delta
+// state, and every legacy entry point (Insert/MarkDeleted/SaveState/...)
+// delegates to it. Concurrent repair runs take per-thread copies via
+// SnapshotView().
+//
+// The dictionary grows only where storage grows: Insert/ApplyUpdate
+// inserts (single-threaded, like every storage mutation) and snapshot
+// install. A copied or moved Database owns its own dictionary and
+// rebinds its relations to it, so interning into a copy never changes
+// the original. Values and Tuples cross this boundary only at the
+// edges: Insert/ApplyUpdate take Tuples, and tuple()/cell() decode.
 #ifndef DELTAREPAIR_RELATION_DATABASE_H_
 #define DELTAREPAIR_RELATION_DATABASE_H_
 
@@ -79,15 +88,25 @@ class Database {
 
   /// Inserts a live tuple into relation `rel`. A dedupe hit on a deleted
   /// row revives it (see InstanceView::Insert).
-  TupleId Insert(uint32_t rel, Tuple t);
+  TupleId Insert(uint32_t rel, const Tuple& t);
   /// Inserts by relation name (must exist).
-  TupleId Insert(const std::string& rel, Tuple t);
+  TupleId Insert(const std::string& rel, const Tuple& t);
   /// Insert that also reports whether a new row slot was created.
-  InsertResult InsertChecked(uint32_t rel, Tuple t);
+  InsertResult InsertChecked(uint32_t rel, const Tuple& t);
 
-  const Tuple& tuple(TupleId id) const {
-    return relations_[id.relation].row(id.row);
+  /// Decodes tuple `id` (edges only; the join reads codes).
+  Tuple tuple(TupleId id) const {
+    return relations_[id.relation].DecodeRow(id.row);
   }
+  /// Decodes column `c` of tuple `id`.
+  Value cell(TupleId id, size_t c) const {
+    return relations_[id.relation].Cell(id.row, c);
+  }
+  /// The dictionary behind every relation's cell codes.
+  const ValueDict& dict() const { return dict_; }
+  /// Dictionary-growing access (snapshot install; single-threaded, like
+  /// mutable_relation).
+  ValueDict& mutable_dict() { return dict_; }
   bool live(TupleId id) const { return base_.live(id); }
   bool delta(TupleId id) const { return base_.delta(id); }
   void MarkDeleted(TupleId id) { base_.MarkDeleted(id); }
@@ -127,6 +146,11 @@ class Database {
   std::string ToString() const { return base_.ToString(); }
 
  private:
+  /// Points every relation at this database's own dictionary (copies and
+  /// moves).
+  void BindDict();
+
+  ValueDict dict_;
   std::vector<Relation> relations_;
   std::unordered_map<std::string, uint32_t> by_name_;
   InstanceView base_;

@@ -114,9 +114,9 @@ void InstanceView::Retract(TupleId id) {
   rels_[id.relation].Retract(id.row);
 }
 
-InsertResult InstanceView::Insert(uint32_t rel, Tuple t) {
+InsertResult InstanceView::Insert(uint32_t rel, const Tuple& t) {
   DR_CHECK(rel < rels_.size());
-  InsertResult r = db_->mutable_relation(rel).InternRow(std::move(t));
+  InsertResult r = db_->mutable_relation(rel).InternRow(t);
   rels_[rel].AdoptLive(r.row);
   return r;
 }
@@ -193,7 +193,7 @@ std::string InstanceView::ToString() const {
       if (!rels_[i].live(r)) continue;
       if (!first) out += ", ";
       first = false;
-      out += TupleToString(rel.row(r));
+      out += TupleToString(rel.DecodeRow(r));
     }
     out += "}\n";
   }

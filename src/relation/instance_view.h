@@ -120,7 +120,7 @@ class InstanceView {
   /// storage (single-threaded; see class comment) and adopts it in this
   /// view. A dedupe hit on a row this view had deleted *revives* it —
   /// live again, removed from ∆_i — and still reports inserted=false.
-  InsertResult Insert(uint32_t rel, Tuple t);
+  InsertResult Insert(uint32_t rel, const Tuple& t);
 
   /// Brings this view forward across an external update: adopts every
   /// inserted row as live and retracts every deleted row. Used to carry a

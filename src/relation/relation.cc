@@ -1,5 +1,7 @@
 #include "relation/relation.h"
 
+#include <algorithm>
+
 #include "common/status.h"
 
 namespace deltarepair {
@@ -110,16 +112,80 @@ void RowHashTable::Grow(size_t min_slots) {
   }
 }
 
+Code ValueDict::Intern(const Value& v) {
+  const uint64_t hash = v.Hash();
+  Code code;
+  if (Find(v, hash, &code)) return code;
+  const uint32_t id = static_cast<uint32_t>(values_.size());
+  values_.push_back(v);
+  hashes_.push_back(hash);
+  lookup_.Add(hash, id);
+  return (static_cast<Code>(id) << 1) | 1;
+}
+
+bool ValueDict::Find(const Value& v, uint64_t hash, Code* code) const {
+  if (v.is_int() && FitsInline(v.AsInt())) {
+    *code = InlineCode(v.AsInt());
+    return true;
+  }
+  for (uint32_t id = lookup_.Head(hash); id != RowHashTable::kNone;
+       id = lookup_.Next(id)) {
+    if (values_[id] == v) {
+      *code = (static_cast<Code>(id) << 1) | 1;
+      return true;
+    }
+  }
+  return false;
+}
+
+namespace {
+
+template <typename T>
+int ThreeWay(const T& a, const T& b) {
+  return a < b ? -1 : (b < a ? 1 : 0);
+}
+
+}  // namespace
+
+int ValueDict::Compare(Code a, Code b) const {
+  if (IsInline(a) && IsInline(b)) {
+    return ThreeWay(InlineInt(a), InlineInt(b));
+  }
+  if (a == b) return 0;
+  return IsInline(b) ? -Compare(b, Entry(a)) : Compare(a, Entry(b));
+}
+
+int ValueDict::Compare(Code a, const Value& b) const {
+  const ValueType ta = IsInline(a) ? ValueType::kInt : Entry(a).type();
+  if (ta != b.type()) {
+    return ThreeWay(static_cast<uint8_t>(ta), static_cast<uint8_t>(b.type()));
+  }
+  switch (ta) {
+    case ValueType::kNull:
+      return 0;
+    case ValueType::kInt:
+      return ThreeWay(IsInline(a) ? InlineInt(a) : Entry(a).AsInt(),
+                      b.AsInt());
+    case ValueType::kString:
+      return ThreeWay(Entry(a).AsString(), b.AsString());
+  }
+  return 0;
+}
+
 Relation::Relation(const Relation& other)
     : schema_(other.schema_),
-      rows_(other.rows_),
+      dict_(other.dict_),
+      cells_(other.cells_),
+      num_rows_(other.num_rows_),
       dedupe_(other.dedupe_),
       indexes_(other.indexes_) {}
 
 Relation& Relation::operator=(const Relation& other) {
   if (this != &other) {
     schema_ = other.schema_;
-    rows_ = other.rows_;
+    dict_ = other.dict_;
+    cells_ = other.cells_;
+    num_rows_ = other.num_rows_;
     dedupe_ = other.dedupe_;
     indexes_ = other.indexes_;
   }
@@ -128,60 +194,107 @@ Relation& Relation::operator=(const Relation& other) {
 
 Relation::Relation(Relation&& other) noexcept
     : schema_(std::move(other.schema_)),
-      rows_(std::move(other.rows_)),
+      dict_(other.dict_),
+      cells_(std::move(other.cells_)),
+      num_rows_(other.num_rows_),
       dedupe_(std::move(other.dedupe_)),
       indexes_(std::move(other.indexes_)) {}
 
 Relation& Relation::operator=(Relation&& other) noexcept {
   if (this != &other) {
     schema_ = std::move(other.schema_);
-    rows_ = std::move(other.rows_);
+    dict_ = other.dict_;
+    cells_ = std::move(other.cells_);
+    num_rows_ = other.num_rows_;
     dedupe_ = std::move(other.dedupe_);
     indexes_ = std::move(other.indexes_);
   }
   return *this;
 }
 
-InsertResult Relation::InternRow(Tuple t) {
-  DR_CHECK_MSG(t.size() == schema_.arity(), "arity mismatch on insert");
-  uint64_t h = HashTuple(t);
+Tuple Relation::DecodeRow(uint32_t r) const {
+  const Code* row = codes(r);
+  Tuple t;
+  t.reserve(arity());
+  for (size_t c = 0; c < arity(); ++c) t.push_back(dict_->Decode(row[c]));
+  return t;
+}
+
+uint64_t Relation::RowHash(uint32_t r) const {
+  const Code* row = codes(r);
+  uint64_t h = kHashTupleSeed;
+  for (size_t c = 0; c < arity(); ++c) h = HashCombine(h, dict_->Hash(row[c]));
+  return h;
+}
+
+uint32_t Relation::FindCodes(const Code* row, uint64_t h) const {
+  const size_t n = arity();
   for (uint32_t r = dedupe_.Head(h); r != RowHashTable::kNone;
        r = dedupe_.Next(r)) {
-    if (rows_[r] == t) return InsertResult{r, false};
+    if (std::equal(row, row + n, codes(r))) return r;
   }
-  uint32_t r = static_cast<uint32_t>(rows_.size());
+  return RowHashTable::kNone;
+}
+
+uint64_t Relation::FindCodesOf(const Tuple& t, Code* row, bool* known) const {
+  uint64_t h = kHashTupleSeed;
+  *known = true;
+  for (size_t c = 0; c < t.size(); ++c) {
+    const uint64_t hv = t[c].Hash();
+    h = HashCombine(h, hv);
+    if (*known) *known = dict_->Find(t[c], hv, &row[c]);
+  }
+  return h;
+}
+
+InsertResult Relation::InternRow(const Tuple& t) {
+  DR_CHECK_MSG(t.size() == schema_.arity(), "arity mismatch on insert");
+  Code row[kMaxArity];
+  bool known;
+  const uint64_t h = FindCodesOf(t, row, &known);
+  if (known) {
+    uint32_t r = FindCodes(row, h);
+    if (r != RowHashTable::kNone) return InsertResult{r, false};
+  } else {
+    // A value new to the dictionary: the row is new too.
+    for (size_t c = 0; c < t.size(); ++c) row[c] = dict_->Intern(t[c]);
+  }
+  const uint32_t r = static_cast<uint32_t>(num_rows_);
+  cells_.insert(cells_.end(), row, row + t.size());
+  ++num_rows_;
   // Maintain any existing indexes incrementally.
-  for (auto& [mask, index] : indexes_) index.Add(KeyHash(mask, t), r);
-  rows_.push_back(std::move(t));
+  for (auto& [mask, index] : indexes_) index.Add(KeyHash(mask, row), r);
   dedupe_.Add(h, r);
   return InsertResult{r, true};
 }
 
-void Relation::BulkLoadRows(std::vector<Tuple> rows, RowHashTable dedupe) {
-  DR_CHECK_MSG(rows_.empty() && dedupe_.empty() && indexes_.empty(),
+void Relation::BulkLoadRows(std::vector<Code> cells, size_t num_rows,
+                            RowHashTable dedupe) {
+  DR_CHECK_MSG(num_rows_ == 0 && dedupe_.empty() && indexes_.empty(),
                "BulkLoadRows on non-empty relation");
-  DR_CHECK_MSG(rows.size() == dedupe.num_rows(),
+  DR_CHECK_MSG(num_rows == dedupe.num_rows(),
                "BulkLoadRows dedupe table size mismatch");
-  for (const Tuple& t : rows) {
-    DR_CHECK_MSG(t.size() == schema_.arity(), "arity mismatch on bulk load");
-  }
-  rows_ = std::move(rows);
+  DR_CHECK_MSG(cells.size() == num_rows * schema_.arity(),
+               "arity mismatch on bulk load");
+  cells_ = std::move(cells);
+  num_rows_ = num_rows;
   dedupe_ = std::move(dedupe);
 }
 
 int64_t Relation::FindRow(const Tuple& t) const {
-  uint64_t h = HashTuple(t);
-  for (uint32_t r = dedupe_.Head(h); r != RowHashTable::kNone;
-       r = dedupe_.Next(r)) {
-    if (rows_[r] == t) return r;
-  }
-  return -1;
+  if (t.size() != schema_.arity()) return -1;
+  Code row[kMaxArity];
+  bool known;
+  const uint64_t h = FindCodesOf(t, row, &known);
+  if (!known) return -1;
+  uint32_t r = FindCodes(row, h);
+  return r == RowHashTable::kNone ? -1 : static_cast<int64_t>(r);
 }
 
-uint64_t Relation::KeyHash(ColumnMask mask, const Tuple& t) const {
+uint64_t Relation::KeyHash(ColumnMask mask, const Code* row) const {
   uint64_t h = KeyHashSeed(mask);
-  for (size_t c = 0; c < t.size(); ++c) {
-    if (mask & (1ULL << c)) h = HashCombine(h, t[c].Hash());
+  for (size_t c = 0; c < arity(); ++c) {
+    if (mask & (1ULL << c)) h = HashCombine(h, dict_->Hash(row[c]));
   }
   return h;
 }
@@ -191,17 +304,15 @@ const Relation::Index* Relation::EnsureIndex(ColumnMask mask) const {
   auto it = indexes_.find(mask);
   if (it != indexes_.end()) return &it->second;
   Index& index = indexes_[mask];
-  for (uint32_t r = 0; r < rows_.size(); ++r) {
-    index.Add(KeyHash(mask, rows_[r]), r);
-  }
+  for (uint32_t r = 0; r < num_rows_; ++r) index.Add(KeyHash(mask, codes(r)), r);
   return &index;
 }
 
 std::string Relation::ToString() const {
   std::string out = schema_.ToString() + " {";
-  for (uint32_t r = 0; r < rows_.size(); ++r) {
+  for (uint32_t r = 0; r < num_rows_; ++r) {
     if (r) out += ", ";
-    out += TupleToString(rows_[r]);
+    out += TupleToString(DecodeRow(r));
   }
   out += "}";
   return out;

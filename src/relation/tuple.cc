@@ -3,7 +3,7 @@
 namespace deltarepair {
 
 uint64_t HashTuple(const Tuple& t) {
-  uint64_t h = 0x74757065ULL;
+  uint64_t h = kHashTupleSeed;
   for (const Value& v : t) h = HashCombine(h, v.Hash());
   return h;
 }

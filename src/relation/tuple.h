@@ -17,8 +17,10 @@ namespace deltarepair {
 /// Row payload: a fixed-arity vector of values.
 using Tuple = std::vector<Value>;
 
-/// Order-sensitive hash over a tuple's values.
+/// Order-sensitive hash over a tuple's values: kHashTupleSeed folded
+/// with each value's Value::Hash() by HashCombine.
 uint64_t HashTuple(const Tuple& t);
+inline constexpr uint64_t kHashTupleSeed = 0x74757065ULL;
 
 /// Rendering: "(1, 'ERC')".
 std::string TupleToString(const Tuple& t);

@@ -50,9 +50,11 @@ class Value {
 
   /// Stable 64-bit hash (used by tuple hashing and index keys).
   uint64_t Hash() const {
-    return type_ == ValueType::kInt
-               ? Mix64(static_cast<uint64_t>(int_) ^ 0x1234abcdULL)
-               : NonIntHash();
+    return type_ == ValueType::kInt ? IntHash(int_) : NonIntHash();
+  }
+  /// Hash() of the int value `v`; cell codes hash inline ints with it.
+  static uint64_t IntHash(int64_t v) {
+    return Mix64(static_cast<uint64_t>(v) ^ 0x1234abcdULL);
   }
 
   /// Rendering: ints bare, strings single-quoted, null as "null".

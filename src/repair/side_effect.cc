@@ -30,7 +30,7 @@ Value BindingOf(const Database& db, const GroundAssignment& ga,
     const Atom& atom = ga.rule->body[a];
     for (size_t c = 0; c < atom.terms.size(); ++c) {
       if (atom.terms[c].is_var() && atom.terms[c].var == var) {
-        return db.tuple(ga.body[a])[c];
+        return db.cell(ga.body[a], c);
       }
     }
   }

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <thread>
+#include <unordered_map>
 
 #include "common/checksum.h"
 #include "common/framing.h"
@@ -78,39 +79,46 @@ inline uint64_t LoadLe64(const unsigned char* p) {
 
 /// One relation section decoded off the wire, not yet installed in a
 /// Database (sections decode on worker threads; installation happens
-/// in file order on the calling thread).
+/// in file order on the calling thread). Cells are row-major codes in
+/// which inline ints are final and every other value is a *local* code,
+/// id << 1 | 1 into `locals`, the section's own table; install interns
+/// the locals into the database's dictionary and rewrites those cells.
 struct DecodedRelation {
   RelationSchema schema;
-  std::vector<Tuple> rows;
+  uint64_t row_count = 0;
+  std::vector<Code> cells;
+  std::vector<Value> locals;
   RowHashTable dedupe;
   RelationView::State state;
 };
 
-/// Decodes the column-major cell block with raw pointer arithmetic,
-/// materializing the row tuples as their column-0 cells stream in (so
-/// each fresh row allocation is written while still cache-hot). This
-/// is the hottest loop of recovery; going through the per-cell Status
-/// machinery of BinaryReader roughly doubles its cost.
+/// Decodes the column-major cell block with raw pointer arithmetic into
+/// `out`'s row-major local codes. This is the hottest loop of recovery;
+/// going through the per-cell Status machinery of BinaryReader roughly
+/// doubles its cost. Each distinct string gets one local entry.
 Status DecodeCells(const unsigned char* p, const unsigned char* end,
-                   uint32_t arity, uint64_t row_count,
-                   std::vector<Tuple>* rows, size_t* consumed) {
+                   uint32_t arity, DecodedRelation* out, size_t* consumed) {
   const unsigned char* start = p;
-  rows->clear();
-  if (arity == 0) {
-    rows->assign(row_count, Tuple());
-    *consumed = 0;
-    return Status::OK();
-  }
-  rows->reserve(row_count);
+  const uint64_t row_count = out->row_count;
+  out->cells.assign(row_count * arity, 0);
+  out->locals.clear();
+  std::unordered_map<std::string_view, Code> strings;
+  Code null_code = 0;  // 0 (an inline code) until the first null
+  auto add_local = [out](Value v) {
+    out->locals.push_back(std::move(v));
+    return (static_cast<Code>(out->locals.size() - 1) << 1) | 1;
+  };
   for (uint32_t c = 0; c < arity; ++c) {
     for (uint64_t row = 0; row < row_count; ++row) {
-      if (c == 0) rows->emplace_back(arity);
+      Code& cell = out->cells[row * arity + c];
       if (p >= end) {
         return Status::InvalidArgument("snapshot: truncated cell data");
       }
       switch (*p++) {
         case static_cast<uint8_t>(ValueType::kNull):
-          break;  // cells start out null
+          if (null_code == 0) null_code = add_local(Value());
+          cell = null_code;
+          break;
         case static_cast<uint8_t>(ValueType::kInt): {
           // Zigzag varint, inlined (matches BinaryReader::GetVarintI64).
           uint64_t z = 0;
@@ -125,8 +133,9 @@ Status DecodeCells(const unsigned char* p, const unsigned char* end,
             z |= static_cast<uint64_t>(byte & 0x7F) << shift;
             shift += 7;
           } while (byte & 0x80);
-          (*rows)[row][c] =
-              Value(static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1)));
+          const int64_t v = static_cast<int64_t>((z >> 1) ^ (~(z & 1) + 1));
+          cell = ValueDict::FitsInline(v) ? ValueDict::InlineCode(v)
+                                          : add_local(Value(v));
           break;
         }
         case static_cast<uint8_t>(ValueType::kString): {
@@ -138,8 +147,10 @@ Status DecodeCells(const unsigned char* p, const unsigned char* end,
           if (static_cast<size_t>(end - p) < len) {
             return Status::InvalidArgument("snapshot: truncated cell data");
           }
-          (*rows)[row][c] =
-              Value(std::string(reinterpret_cast<const char*>(p), len));
+          std::string_view str(reinterpret_cast<const char*>(p), len);
+          auto [it, fresh] = strings.try_emplace(str, 0);
+          if (fresh) it->second = add_local(Value(std::string(str)));
+          cell = it->second;
           p += len;
           break;
         }
@@ -152,6 +163,16 @@ Status DecodeCells(const unsigned char* p, const unsigned char* end,
   }
   *consumed = static_cast<size_t>(p - start);
   return Status::OK();
+}
+
+/// Writes one cell in PutCell's format straight from its code.
+void PutCode(BinaryWriter* w, const ValueDict& dict, Code code) {
+  if (ValueDict::IsInline(code)) {
+    w->PutU8(static_cast<uint8_t>(ValueType::kInt));
+    w->PutVarintI64(ValueDict::InlineInt(code));
+  } else {
+    PutCell(w, dict.Entry(code));
+  }
 }
 
 /// Decodes one relation section (`payload` excludes the trailing crc,
@@ -200,9 +221,10 @@ Status DecodeSection(std::string_view payload, DecodedRelation* out) {
   const unsigned char* base =
       reinterpret_cast<const unsigned char*>(payload.data());
   size_t consumed = 0;
+  out->row_count = row_count;
   DR_RETURN_IF_ERROR(DecodeCells(base + r.position(),
-                                 base + payload.size(), arity, row_count,
-                                 &out->rows, &consumed));
+                                 base + payload.size(), arity, out,
+                                 &consumed));
   std::string_view skipped;
   DR_RETURN_IF_ERROR(r.GetRaw(consumed, &skipped));
 
@@ -266,13 +288,13 @@ std::string EncodeSnapshot(const Database& db) {
     // int columns decode as a tight tag+i64 stream.
     for (size_t c = 0; c < schema.arity(); ++c) {
       for (size_t row = 0; row < n; ++row) {
-        PutCell(&w, rel.row(static_cast<uint32_t>(row))[c]);
+        PutCode(&w, db.dict(), rel.codes(static_cast<uint32_t>(row))[c]);
       }
     }
     // Row dedupe table: the interning hash of every row slot, so a load
     // rebuilds the dedupe map without re-hashing any value.
     for (size_t row = 0; row < n; ++row) {
-      w.PutU64(HashTuple(rel.row(static_cast<uint32_t>(row))));
+      w.PutU64(rel.RowHash(static_cast<uint32_t>(row)));
     }
     PutBitmap(&w, view, n, /*delta=*/false);
     PutBitmap(&w, view, n, /*delta=*/true);
@@ -395,7 +417,14 @@ Status DecodeSnapshot(std::string_view bytes, Database* db) {
                     d.schema.name().c_str()));
     }
     uint32_t rel = db->AddRelation(std::move(d.schema));
-    db->mutable_relation(rel).BulkLoadRows(std::move(d.rows),
+    std::vector<Code> global(d.locals.size());
+    for (size_t l = 0; l < d.locals.size(); ++l) {
+      global[l] = db->mutable_dict().Intern(d.locals[l]);
+    }
+    for (Code& cell : d.cells) {
+      if (!ValueDict::IsInline(cell)) cell = global[cell >> 1];
+    }
+    db->mutable_relation(rel).BulkLoadRows(std::move(d.cells), d.row_count,
                                            std::move(d.dedupe));
     db->base_view().rel(rel).Restore(d.state);
   }

@@ -102,6 +102,40 @@ TEST(QueryGroundTest, AnswersAndProvenanceOverRunningExample) {
   EXPECT_EQ(rows[0], (Tuple{Value(int64_t{7}), Value(int64_t{4})}));
 }
 
+TEST(QueryGroundTest, ConstantsAbsentFromTheDictionary) {
+  // 'Lisa' and 'tag' are in no relation, so they have no cell code: they
+  // match nothing under =, hold under !=, order against stored strings
+  // by value, and a head constant still decodes, merged across rules.
+  RunningExample ex = MakeRunningExample();
+  const size_t dict_size = ex.db.dict().size();
+  auto eval = [&](const char* text) {
+    Query q = MustParseQuery(text);
+    EXPECT_TRUE(ResolveQuery(&q, ex.db).ok()) << text;
+    return EvalQuery(&ex.db.base_view(), q);
+  };
+  EXPECT_TRUE(eval("Q(a) :- Author(a, n), n = 'Lisa'.").empty());
+  EXPECT_TRUE(eval("Q(a) :- Author(a, 'Lisa').").empty());
+  EXPECT_EQ(eval("Q(a) :- Author(a, n), n != 'Lisa'.").size(), 3u);
+  // Homer < Lisa < Maggie < Marge.
+  EXPECT_EQ(eval("Q(n) :- Author(a, n), n > 'Lisa'."),
+            (std::vector<Tuple>{{Value("Maggie")}, {Value("Marge")}}));
+  EXPECT_EQ(eval("Q(n) :- Author(a, n), 'Lisa' > n."),
+            (std::vector<Tuple>{{Value("Homer")}}));
+
+  Query ucq = MustParseQuery(
+      "Q(n, 'tag') :- Author(a, n), Writes(a, p).\n"
+      "Q(n, 'tag') :- Author(a, n), AuthGrant(a, g).");
+  ASSERT_TRUE(ResolveQuery(&ucq, ex.db).ok());
+  std::map<Tuple, AnswerProvenance> grounded =
+      GroundQuery(&ex.db.base_view(), ucq, nullptr);
+  ASSERT_EQ(grounded.size(), 3u);
+  EXPECT_EQ(grounded.begin()->first, (Tuple{Value("Homer"), Value("tag")}));
+  // Homer is derived via Writes and via AuthGrant: one answer, two
+  // monomials.
+  EXPECT_EQ(grounded.begin()->second.monomials.size(), 2u);
+  EXPECT_EQ(ex.db.dict().size(), dict_size);
+}
+
 // ---------------------------------------------------------------------------
 // Evaluator semantics on the running example
 // ---------------------------------------------------------------------------

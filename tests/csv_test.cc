@@ -21,8 +21,8 @@ TEST(CsvTest, LoadTypedTable) {
   const Relation* rel = db.FindRelation("Author");
   ASSERT_NE(rel, nullptr);
   EXPECT_EQ(db.live_count(0), 2u);
-  EXPECT_EQ(rel->row(0)[0], Value(int64_t{1}));
-  EXPECT_EQ(rel->row(0)[1], Value("alice"));
+  EXPECT_EQ(rel->Cell(0, 0), Value(int64_t{1}));
+  EXPECT_EQ(rel->Cell(0, 1), Value("alice"));
   EXPECT_EQ(rel->schema().attribute(2).type, ValueType::kInt);
 }
 
@@ -30,7 +30,7 @@ TEST(CsvTest, DefaultsToStringType) {
   Database db;
   Status st = LoadCsvIntoDatabase(&db, "T", "a,b:int\nx,1\n");
   ASSERT_TRUE(st.ok());
-  EXPECT_EQ(db.FindRelation("T")->row(0)[0], Value("x"));
+  EXPECT_EQ(db.FindRelation("T")->Cell(0, 0), Value("x"));
 }
 
 TEST(CsvTest, SkipsBlankLinesAndTrimsCells) {
@@ -42,7 +42,7 @@ TEST(CsvTest, SkipsBlankLinesAndTrimsCells) {
                                   "2,y\n\n");
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(db.live_count(0), 2u);
-  EXPECT_EQ(db.FindRelation("T")->row(0)[1], Value("x"));
+  EXPECT_EQ(db.FindRelation("T")->Cell(0, 1), Value("x"));
 }
 
 TEST(CsvTest, Errors) {
@@ -113,7 +113,7 @@ TEST(CsvTest, RoundTripThroughRender) {
   Database db2;
   ASSERT_TRUE(LoadCsvIntoDatabase(&db2, "T", rendered).ok());
   EXPECT_EQ(db2.live_count(0), 2u);
-  EXPECT_EQ(db2.FindRelation("T")->row(1)[1], Value("y"));
+  EXPECT_EQ(db2.FindRelation("T")->Cell(1, 1), Value("y"));
 }
 
 TEST(CsvTest, RenderSkipsDeletedRows) {

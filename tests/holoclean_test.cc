@@ -125,7 +125,7 @@ TEST(MakeSingleTableDbTest, RoundTrips) {
                              {Value(int64_t{2}), Value("y")}};
   Database db = MakeSingleTableDb(schema, rows);
   EXPECT_EQ(db.TotalLive(), 2u);
-  EXPECT_EQ(db.FindRelation("T")->row(0)[1], Value("x"));
+  EXPECT_EQ(db.FindRelation("T")->Cell(0, 1), Value("x"));
 }
 
 }  // namespace

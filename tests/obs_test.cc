@@ -161,6 +161,39 @@ TEST_F(TraceTest, EnumerateRuleSpanCountsJoinWork) {
   EXPECT_EQ(args["rows_visited"], 6u);  // 3 scanned + 2 + 1 + 0 probed
 }
 
+TEST_F(TraceTest, EnumerateRuleProbesVarEqualsConstant) {
+  // `x = 2` makes R's x column a probe key at the step that binds x, so
+  // the join visits only the three rows with x = 2 instead of scanning
+  // all six.
+  Database db;
+  uint32_t r = db.AddRelation(MakeIntSchema("R", {"x", "y"}));
+  int64_t y = 0;
+  for (int64_t x : {1, 2, 3, 2, 1, 2}) db.Insert(r, {Value(x), Value(++y)});
+  Program program = MustParseProgram("~R(x, y) :- R(x, y), x = 2.\n");
+  ASSERT_TRUE(ResolveProgram(&program, db).ok());
+  Grounder grounder(&db);
+  std::vector<uint32_t> rows;
+  grounder.EnumerateRule(program.rules()[0], 0, BaseMatch::kLive,
+                         DeltaMatch::kCurrent,
+                         [&](const GroundAssignment& ga) {
+                           rows.push_back(ga.head.row);
+                           return true;
+                         });
+  EXPECT_EQ(rows, (std::vector<uint32_t>{1, 3, 5}));  // ascending, as a scan
+  std::vector<TraceEvent> events = EventsNamed(Trace::Collect(),
+                                               "ground.enumerate_rule");
+  ASSERT_EQ(events.size(), 1u);
+  std::map<std::string, uint64_t> args;
+  for (int i = 0; i < kMaxSpanArgs; ++i) {
+    if (events[0].arg_keys[i] != nullptr) {
+      args[events[0].arg_keys[i]] = events[0].arg_vals[i];
+    }
+  }
+  EXPECT_EQ(args["assignments"], 3u);
+  EXPECT_EQ(args["probes"], 1u);
+  EXPECT_EQ(args["rows_visited"], 3u);
+}
+
 TEST_F(TraceTest, NestedSpansTrackDepthAndOrdering) {
   {
     Span outer("test.outer");

@@ -2,7 +2,8 @@
 // RunBatch: parallel outcomes must be identical to the sequential path
 // for all four semantics on the MAS workload, deterministic across
 // repeated runs, and clean under ThreadSanitizer (the CI TSan job runs
-// this suite). Also stresses the shared lazy index build directly.
+// this suite). Also stresses the shared lazy index build and concurrent
+// reads of the database's value dictionary directly.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -175,7 +176,9 @@ TEST(ParallelBatchTest, ConcurrentGroundersShareLazyIndexes) {
   }
 }
 
-// Parallel stability verification over thread-local views.
+// Parallel stability verification over thread-local views. Program 9's
+// `n = '...'` makes every thread look the constant up in the shared
+// ValueDict and probe by its string code's cached hash.
 TEST(ParallelBatchTest, ConcurrentStabilizingSetChecks) {
   BatchFixture f;
   auto engine = RepairEngine::Create(&f.mas.db, MasProgram(9, f.mas.hubs));

@@ -1,8 +1,13 @@
-// Unit tests for the relational engine: values, tuples, the immutable
-// relation storage core (interning + lazy indexes), the per-run
-// RelationView membership bitmaps, and database snapshots.
+// Unit tests for the relational engine: values, tuples, the cell-code
+// layer (ValueDict), the immutable relation storage core (interning +
+// lazy indexes), the per-run RelationView membership bitmaps, and
+// database snapshots.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "common/random.h"
+#include "datalog/ast.h"
 #include "relation/database.h"
 
 namespace deltarepair {
@@ -68,8 +73,159 @@ TEST(SchemaTest, AttributeLookupAndToString) {
   EXPECT_EQ(s.ToString(), "R(a:int, b:str)");
 }
 
+/// Every value shape a caller can insert: null, ints at and past the
+/// inline range's edges, INT64_MIN/MAX, the empty and non-empty strings.
+std::vector<Value> EdgeValues() {
+  const int64_t lo = -(int64_t{1} << 62);
+  const int64_t hi = (int64_t{1} << 62) - 1;
+  return {Value(),        Value(int64_t{0}), Value(int64_t{-1}),
+          Value(lo),      Value(hi),         Value(lo - 1),
+          Value(hi + 1),  Value(INT64_MIN),  Value(INT64_MAX),
+          Value(std::string()), Value("x"),  Value("a longer string value")};
+}
+
+/// A random value: null, an int over the whole int64 range or near the
+/// inline edges, or a short string.
+Value RandomValue(Rng* rng) {
+  switch (rng->NextBounded(5)) {
+    case 0:
+      return Value();
+    case 1:
+      return Value(static_cast<int64_t>(rng->Next()));
+    case 2:
+      return Value(rng->NextInRange(-3, 3) +
+                   (rng->NextBool(0.5) ? (int64_t{1} << 62)
+                                       : -(int64_t{1} << 62)));
+    case 3:
+      return Value(rng->NextInRange(-20, 20));
+    default:
+      return Value(std::string(rng->NextBounded(3), 'a' + rng->NextBounded(3)));
+  }
+}
+
+TEST(ValueDictTest, EveryValueShapeRoundTrips) {
+  ValueDict dict;
+  for (const Value& v : EdgeValues()) {
+    Code code = dict.Intern(v);
+    EXPECT_EQ(dict.Decode(code), v) << v.ToString();
+    Code found = ~code;
+    ASSERT_TRUE(dict.Find(v, &found)) << v.ToString();
+    EXPECT_EQ(found, code) << v.ToString();
+    const bool inline_int = v.is_int() && ValueDict::FitsInline(v.AsInt());
+    EXPECT_EQ(ValueDict::IsInline(code), inline_int) << v.ToString();
+  }
+  // Inline ints never enter the dictionary.
+  EXPECT_EQ(dict.size(), 8u);
+}
+
+TEST(ValueDictTest, MixedTypeColumnRoundTripsThroughInternRow) {
+  // Cells whose type differs from the declared column type are stored
+  // and decoded as given (the request codec and the WAL accept them).
+  ValueDict dict;
+  Relation r(MakeSchema("R", {"i", "s"}, "is"), &dict);
+  std::vector<Tuple> rows;
+  std::vector<Value> edges = EdgeValues();
+  for (size_t k = 0; k < edges.size(); ++k) {
+    rows.push_back({edges[k], edges[edges.size() - 1 - k]});
+  }
+  for (const Tuple& t : rows) EXPECT_TRUE(r.InternRow(t).inserted);
+  ASSERT_EQ(r.num_rows(), rows.size());
+  for (uint32_t row = 0; row < rows.size(); ++row) {
+    EXPECT_EQ(r.DecodeRow(row), rows[row]) << row;
+    EXPECT_EQ(r.Cell(row, 1), rows[row][1]) << row;
+    EXPECT_EQ(r.FindRow(rows[row]), static_cast<int64_t>(row));
+    EXPECT_EQ(r.RowHash(row), HashTuple(rows[row])) << row;
+    // Re-interning is a dedupe hit on the same slot.
+    EXPECT_EQ(r.InternRow(rows[row]).row, row);
+  }
+  EXPECT_EQ(r.num_rows(), rows.size());
+}
+
+TEST(ValueDictTest, CodesAreCanonicalAndHashLikeValues) {
+  Rng rng(7);
+  ValueDict dict;
+  std::vector<Value> values;
+  std::vector<Code> codes;
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(RandomValue(&rng));
+    codes.push_back(dict.Intern(values.back()));
+    EXPECT_EQ(dict.Hash(codes.back()), values.back().Hash())
+        << values.back().ToString();
+  }
+  for (int i = 0; i < 4000; ++i) {
+    size_t a = rng.NextBounded(values.size());
+    size_t b = rng.NextBounded(values.size());
+    EXPECT_EQ(codes[a] == codes[b], values[a] == values[b])
+        << values[a].ToString() << " vs " << values[b].ToString();
+  }
+}
+
+TEST(ValueDictTest, CodeComparisonsAgreeWithValueComparisons) {
+  Rng rng(11);
+  ValueDict dict;
+  std::vector<Value> values = EdgeValues();
+  for (int i = 0; i < 300; ++i) values.push_back(RandomValue(&rng));
+  std::vector<Code> codes;
+  for (const Value& v : values) codes.push_back(dict.Intern(v));
+  const CmpOp ops[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt,
+                       CmpOp::kLe, CmpOp::kGt, CmpOp::kGe};
+  for (size_t a = 0; a < values.size(); ++a) {
+    for (size_t b = 0; b < values.size(); b += 1 + rng.NextBounded(4)) {
+      for (CmpOp op : ops) {
+        const bool expect = EvalCmp(values[a], op, values[b]);
+        EXPECT_EQ(EvalCmp(dict, codes[a], op, codes[b]), expect)
+            << values[a].ToString() << " " << CmpOpName(op) << " "
+            << values[b].ToString();
+        EXPECT_EQ(CmpHolds(op, dict.Compare(codes[a], values[b])), expect)
+            << values[a].ToString() << " " << CmpOpName(op) << " "
+            << values[b].ToString();
+      }
+    }
+  }
+}
+
+TEST(ValueDictTest, FindRowOfAbsentValueDoesNotGrowTheDictionary) {
+  Database db;
+  uint32_t a = db.AddRelation(MakeSchema("A", {"x", "s"}, "is"));
+  db.Insert(a, {Value(int64_t{1}), Value("present")});
+  const size_t before = db.dict().size();
+  EXPECT_EQ(db.relation(a).FindRow({Value(int64_t{1}), Value("absent")}), -1);
+  EXPECT_EQ(db.relation(a).FindRow({Value(INT64_MAX), Value("present")}), -1);
+  Code code;
+  EXPECT_FALSE(db.dict().Find(Value("absent"), &code));
+  // Deleting an absent tuple is a no-op that also leaves it unchanged.
+  EXPECT_TRUE(
+      db.ApplyUpdate(a, false, {{Value(int64_t{1}), Value("absent")}})
+          .empty());
+  EXPECT_EQ(db.dict().size(), before);
+  EXPECT_EQ(db.relation(a).FindRow({Value(int64_t{1}), Value("present")}), 0);
+}
+
+TEST(ValueDictTest, CopiedDatabaseInternsIntoItsOwnDictionary) {
+  Database db;
+  uint32_t a = db.AddRelation(MakeSchema("A", {"s"}, "s"));
+  db.Insert(a, {Value("old")});
+  Database copy = db;
+  const size_t before = db.dict().size();
+  TupleId t = copy.Insert(a, {Value("new")});
+  EXPECT_EQ(copy.tuple(t), (Tuple{Value("new")}));
+  EXPECT_EQ(copy.dict().size(), before + 1);
+  EXPECT_EQ(db.dict().size(), before);
+  EXPECT_EQ(db.relation(a).num_rows(), 1u);
+  EXPECT_EQ(db.relation(a).FindRow({Value("new")}), -1);
+  // A moved database keeps its relations bound to its own dictionary.
+  Database moved = std::move(copy);
+  EXPECT_EQ(moved.tuple(t), (Tuple{Value("new")}));
+  TupleId u = moved.Insert(a, {Value("newer")});
+  EXPECT_EQ(moved.tuple(u), (Tuple{Value("newer")}));
+  EXPECT_EQ(moved.dict().size(), before + 2);
+  EXPECT_EQ(moved.relation(a).FindRow({Value("newer")}),
+            static_cast<int64_t>(u.row));
+}
+
 TEST(RelationTest, SetSemanticsInternRow) {
-  Relation r(MakeIntSchema("R", {"x", "y"}));
+  ValueDict dict;
+  Relation r(MakeIntSchema("R", {"x", "y"}), &dict);
   auto a = r.InternRow({Value(int64_t{1}), Value(int64_t{2})});
   auto b = r.InternRow({Value(int64_t{1}), Value(int64_t{2})});
   auto c = r.InternRow({Value(int64_t{1}), Value(int64_t{3})});
@@ -81,14 +237,16 @@ TEST(RelationTest, SetSemanticsInternRow) {
 }
 
 TEST(RelationTest, FindRow) {
-  Relation r(MakeIntSchema("R", {"x"}));
+  ValueDict dict;
+  Relation r(MakeIntSchema("R", {"x"}), &dict);
   r.InternRow({Value(int64_t{5})});
   EXPECT_GE(r.FindRow({Value(int64_t{5})}), 0);
   EXPECT_EQ(r.FindRow({Value(int64_t{6})}), -1);
 }
 
 TEST(RelationViewTest, DeleteAndDeltaLifecycle) {
-  Relation r(MakeIntSchema("R", {"x"}));
+  ValueDict dict;
+  Relation r(MakeIntSchema("R", {"x"}), &dict);
   uint32_t row = r.InternRow({Value(int64_t{1})}).row;
   RelationView view(r.num_rows());
   EXPECT_TRUE(view.live(row));
@@ -110,7 +268,8 @@ TEST(RelationViewTest, DeleteAndDeltaLifecycle) {
 }
 
 TEST(RelationViewTest, ViewsOverOneStorageAreIndependent) {
-  Relation r(MakeIntSchema("R", {"x"}));
+  ValueDict dict;
+  Relation r(MakeIntSchema("R", {"x"}), &dict);
   uint32_t row = r.InternRow({Value(int64_t{1})}).row;
   RelationView a(r.num_rows());
   RelationView b(r.num_rows());
@@ -137,7 +296,8 @@ std::vector<uint32_t> ProbeChain(const Relation::Index* index,
 }
 
 TEST(RelationTest, IndexProbeFindsMatchingRows) {
-  Relation r(MakeIntSchema("R", {"x", "y"}));
+  ValueDict dict;
+  Relation r(MakeIntSchema("R", {"x", "y"}), &dict);
   for (int64_t i = 0; i < 10; ++i) {
     r.InternRow({Value(i % 3), Value(i)});
   }
@@ -147,14 +307,15 @@ TEST(RelationTest, IndexProbeFindsMatchingRows) {
       ProbeChain(index, 0b01, {Value(int64_t{1}), Value()});
   size_t verified = 0;
   for (uint32_t row : rows) {
-    if (r.row(row)[0] == Value(int64_t{1})) ++verified;
+    if (r.Cell(row, 0) == Value(int64_t{1})) ++verified;
   }
   EXPECT_EQ(verified, 3u);  // i = 1, 4, 7
   EXPECT_TRUE(ProbeChain(index, 0b01, {Value(int64_t{5}), Value()}).empty());
 }
 
 TEST(RelationTest, IndexChainsAreInAscendingRowOrder) {
-  Relation r(MakeIntSchema("R", {"x", "y"}));
+  ValueDict dict;
+  Relation r(MakeIntSchema("R", {"x", "y"}), &dict);
   for (int64_t i = 0; i < 40; ++i) {
     r.InternRow({Value(i % 4), Value(i)});
   }
@@ -170,7 +331,8 @@ TEST(RelationTest, IndexChainsAreInAscendingRowOrder) {
 }
 
 TEST(RelationTest, IndexMaintainedAcrossInserts) {
-  Relation r(MakeIntSchema("R", {"x"}));
+  ValueDict dict;
+  Relation r(MakeIntSchema("R", {"x"}), &dict);
   r.EnsureIndex(0b1);
   r.InternRow({Value(int64_t{9})});
   std::vector<uint32_t> rows =
@@ -179,7 +341,8 @@ TEST(RelationTest, IndexMaintainedAcrossInserts) {
 }
 
 TEST(RelationTest, RowsInternedAfterEnsureIndexAppendAtTheTail) {
-  Relation r(MakeIntSchema("R", {"x", "y"}));
+  ValueDict dict;
+  Relation r(MakeIntSchema("R", {"x", "y"}), &dict);
   for (int64_t i = 0; i < 6; ++i) r.InternRow({Value(i % 2), Value(i)});
   const Relation::Index* index = r.EnsureIndex(0b01);
   for (int64_t i = 6; i < 12; ++i) r.InternRow({Value(i % 2), Value(i)});
@@ -197,7 +360,8 @@ TEST(RelationTest, IndexGrowsPastManyDistinctKeys) {
   // EnsureIndex builds (rows 0..n-1) and while InternRow maintains.
   constexpr int64_t kBuilt = 5000;
   constexpr int64_t kAppended = 5000;
-  Relation r(MakeIntSchema("R", {"x", "y"}));
+  ValueDict dict;
+  Relation r(MakeIntSchema("R", {"x", "y"}), &dict);
   for (int64_t i = 0; i < kBuilt; ++i) r.InternRow({Value(i), Value(i % 7)});
   const Relation::Index* by_x = r.EnsureIndex(0b01);
   const Relation::Index* by_y = r.EnsureIndex(0b10);
@@ -208,7 +372,7 @@ TEST(RelationTest, IndexGrowsPastManyDistinctKeys) {
     std::vector<uint32_t> rows = ProbeChain(by_x, 0b01, {Value(i), Value()});
     ASSERT_FALSE(rows.empty()) << i;
     EXPECT_EQ(rows.front(), static_cast<uint32_t>(i)) << i;
-    EXPECT_EQ(r.row(rows.front())[0], Value(i));
+    EXPECT_EQ(r.Cell(rows.front(), 0), Value(i));
   }
   std::vector<uint32_t> sixes =
       ProbeChain(by_y, 0b10, {Value(), Value(int64_t{6})});
@@ -219,7 +383,8 @@ TEST(RelationTest, IndexGrowsPastManyDistinctKeys) {
 }
 
 TEST(RelationTest, EnsureIndexIsStableAndIdempotent) {
-  Relation r(MakeIntSchema("R", {"x"}));
+  ValueDict dict;
+  Relation r(MakeIntSchema("R", {"x"}), &dict);
   r.InternRow({Value(int64_t{1})});
   const Relation::Index* first = r.EnsureIndex(0b1);
   const Relation::Index* second = r.EnsureIndex(0b1);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/framing.h"
+#include "common/hash.h"
 #include "relation/database.h"
 #include "service/client.h"
 #include "service/request_codec.h"
@@ -23,6 +24,7 @@
 #include "service/store.h"
 #include "service/wal.h"
 #include "tests/test_util.h"
+#include "workload/mas_generator.h"
 
 namespace deltarepair {
 namespace {
@@ -90,7 +92,7 @@ void ExpectSameInstance(const Database& a, const Database& b) {
     EXPECT_EQ(ra.schema().ToString(), rb.schema().ToString());
     ASSERT_EQ(ra.num_rows(), rb.num_rows());
     for (uint32_t row = 0; row < ra.num_rows(); ++row) {
-      EXPECT_EQ(ra.row(row), rb.row(row))
+      EXPECT_EQ(ra.DecodeRow(row), rb.DecodeRow(row))
           << a.relation(r).schema().name() << " row " << row;
       TupleId id{r, row};
       EXPECT_EQ(a.live(id), b.live(id));
@@ -148,6 +150,35 @@ TEST(SnapshotTest, RoundTripEveryValueShape) {
   Database decoded;
   ASSERT_TRUE(DecodeSnapshot(bytes, &decoded).ok());
   ExpectSameInstance(db, decoded);
+}
+
+TEST(SnapshotTest, EncodingMatchesGoldenDigest) {
+  // MAS x1 plus a relation of null, inline-range edge, INT64_MIN/MAX and
+  // wrong-typed cells, with a retracted row and a delta flag. The digest
+  // pins the snapshot bytes: the format carries decoded values, so how
+  // rows are stored in memory must not change a byte.
+  MasData mas = GenerateMas(MasConfig{});
+  Database& db = mas.db;
+  uint32_t mixed = db.AddRelation(RelationSchema(
+      "Mixed", {{"i", ValueType::kInt}, {"s", ValueType::kString}}));
+  const int64_t edge = int64_t{1} << 62;
+  db.Insert(mixed, {Value(), Value("a")});
+  db.Insert(mixed, {Value("not an int"), Value(int64_t{5})});
+  db.Insert(mixed, {Value(INT64_MIN), Value()});
+  db.Insert(mixed, {Value(INT64_MAX), Value(std::string())});
+  db.Insert(mixed, {Value(edge), Value(-edge)});
+  db.Insert(mixed, {Value(edge - 1), Value(-edge - 1)});
+  db.Insert(mixed, {Value(), Value()});
+  db.base_view().Retract(TupleId{mixed, 1});
+  db.SetDelta(TupleId{mixed, 2});
+  const std::string bytes = EncodeSnapshot(db);
+  EXPECT_EQ(bytes.size(), 165129u);
+  EXPECT_EQ(HashBytes(bytes), 0x5392f476a6bd21f8ULL);
+
+  Database decoded;
+  ASSERT_TRUE(DecodeSnapshot(bytes, &decoded).ok());
+  ExpectSameInstance(db, decoded);
+  EXPECT_EQ(EncodeSnapshot(decoded), bytes);
 }
 
 TEST(SnapshotTest, RebuildsDedupeTable) {

@@ -44,23 +44,23 @@ TEST(MasGeneratorTest, ReferentialIntegrity) {
 
   std::unordered_set<int64_t> aids, oids, pids;
   for (uint32_t r = 0; r < orgs->num_rows(); ++r) {
-    oids.insert(orgs->row(r)[0].AsInt());
+    oids.insert(orgs->Cell(r, 0).AsInt());
   }
   for (uint32_t r = 0; r < authors->num_rows(); ++r) {
-    aids.insert(authors->row(r)[0].AsInt());
-    EXPECT_TRUE(oids.count(authors->row(r)[2].AsInt()));
+    aids.insert(authors->Cell(r, 0).AsInt());
+    EXPECT_TRUE(oids.count(authors->Cell(r, 2).AsInt()));
   }
   for (uint32_t r = 0; r < pubs->num_rows(); ++r) {
-    pids.insert(pubs->row(r)[0].AsInt());
+    pids.insert(pubs->Cell(r, 0).AsInt());
   }
   for (uint32_t r = 0; r < writes->num_rows(); ++r) {
-    EXPECT_TRUE(aids.count(writes->row(r)[0].AsInt()));
-    EXPECT_TRUE(pids.count(writes->row(r)[1].AsInt()));
+    EXPECT_TRUE(aids.count(writes->Cell(r, 0).AsInt()));
+    EXPECT_TRUE(pids.count(writes->Cell(r, 1).AsInt()));
   }
   for (uint32_t r = 0; r < cites->num_rows(); ++r) {
-    EXPECT_TRUE(pids.count(cites->row(r)[0].AsInt()));
-    EXPECT_TRUE(pids.count(cites->row(r)[1].AsInt()));
-    EXPECT_NE(cites->row(r)[0].AsInt(), cites->row(r)[1].AsInt());
+    EXPECT_TRUE(pids.count(cites->Cell(r, 0).AsInt()));
+    EXPECT_TRUE(pids.count(cites->Cell(r, 1).AsInt()));
+    EXPECT_NE(cites->Cell(r, 0).AsInt(), cites->Cell(r, 1).AsInt());
   }
 }
 
@@ -70,15 +70,15 @@ TEST(MasGeneratorTest, HubsAreMeaningful) {
   const Relation* writes = data.db.FindRelation(kMasWrites);
   size_t hub_papers = 0;
   for (uint32_t r = 0; r < writes->num_rows(); ++r) {
-    if (writes->row(r)[0].AsInt() == data.hubs.hub_author_aid) ++hub_papers;
+    if (writes->Cell(r, 0).AsInt() == data.hubs.hub_author_aid) ++hub_papers;
   }
   EXPECT_GE(hub_papers, 2u);
   // Common name names at least two authors (programs 1, 5, 6, 9).
   const Relation* authors = data.db.FindRelation(kMasAuthor);
   size_t named = 0, in_hub_org = 0;
   for (uint32_t r = 0; r < authors->num_rows(); ++r) {
-    if (authors->row(r)[1].AsString() == data.hubs.common_name) ++named;
-    if (authors->row(r)[2].AsInt() == data.hubs.hub_org_oid) ++in_hub_org;
+    if (authors->Cell(r, 1).AsString() == data.hubs.common_name) ++named;
+    if (authors->Cell(r, 2).AsInt() == data.hubs.hub_org_oid) ++in_hub_org;
   }
   EXPECT_GE(named, 2u);
   EXPECT_GE(in_hub_org, 2u);
@@ -133,10 +133,10 @@ TEST(TpchGeneratorTest, NationForT5HasFewerSuppliersThanCustomers) {
   const Relation* customers = data.db.FindRelation(kTpchCustomer);
   size_t s = 0, c = 0;
   for (uint32_t r = 0; r < suppliers->num_rows(); ++r) {
-    if (suppliers->row(r)[2].AsInt() == data.consts.nation_key) ++s;
+    if (suppliers->Cell(r, 2).AsInt() == data.consts.nation_key) ++s;
   }
   for (uint32_t r = 0; r < customers->num_rows(); ++r) {
-    if (customers->row(r)[2].AsInt() == data.consts.nation_key) ++c;
+    if (customers->Cell(r, 2).AsInt() == data.consts.nation_key) ++c;
   }
   EXPECT_GT(s, 0u);
   EXPECT_LT(s, c);
@@ -148,13 +148,13 @@ TEST(TpchGeneratorTest, LineitemsReferenceSuppliersOfPart) {
   const Relation* li = data.db.FindRelation(kTpchLineitem);
   std::unordered_set<uint64_t> pairs;
   for (uint32_t r = 0; r < ps->num_rows(); ++r) {
-    pairs.insert((static_cast<uint64_t>(ps->row(r)[0].AsInt()) << 32) |
-                 static_cast<uint64_t>(ps->row(r)[1].AsInt()));
+    pairs.insert((static_cast<uint64_t>(ps->Cell(r, 0).AsInt()) << 32) |
+                 static_cast<uint64_t>(ps->Cell(r, 1).AsInt()));
   }
   size_t matched = 0;
   for (uint32_t r = 0; r < li->num_rows(); ++r) {
-    uint64_t key = (static_cast<uint64_t>(li->row(r)[1].AsInt()) << 32) |
-                   static_cast<uint64_t>(li->row(r)[2].AsInt());
+    uint64_t key = (static_cast<uint64_t>(li->Cell(r, 1).AsInt()) << 32) |
+                   static_cast<uint64_t>(li->Cell(r, 2).AsInt());
     if (pairs.count(key)) ++matched;
   }
   // The overwhelming majority of lineitems follow partsupp.
