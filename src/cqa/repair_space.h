@@ -17,15 +17,13 @@
 //
 //  * EnumeratedRepairSpace — an explicit list of repairs (end/stage
 //    singletons; step via memoized DFS over activation sequences);
-//  * SymbolicRepairSpace — the independent space as a CNF: the negated
-//    provenance formula of Algorithm 1 (models = stabilizing sets,
-//    via DeletionCnfBuilder) conjoined with a totalizer cardinality cap
-//    at the Min-Ones optimum. Certain/possible verdicts are incremental
-//    CdclSolver::Solve(assumptions) calls — per answer, a retired
-//    selector variable activates the clauses of ¬φ (certain: UNSAT ⇔
-//    the answer survives every minimum repair) or of a Tseitin-encoded
-//    φ (possible: SAT ⇔ some minimum repair keeps it); counterexamples
-//    re-run the Min-Ones machinery over stability ∧ ¬φ.
+//  * SymbolicRepairSpace — the independent space as a StabilityModel
+//    (repair/stability_model.h): Algorithm 1's negated provenance CNF
+//    (models = stabilizing sets), a proven minimum model and its cone
+//    decomposition. Per answer, certain is UNSAT of ¬φ and possible is
+//    SAT of φ over the minimum repairs, both on the answer's cone slice
+//    under per-component caps; counterexamples run Min-Ones over
+//    stability ∧ ¬φ (cqa/entailment.h).
 //
 // Spaces whose construction was truncated by a budget or cancellation
 // are *inexact*: every verdict degrades to undecided with the
@@ -48,11 +46,9 @@
 #include <vector>
 
 #include "cqa/query.h"
-#include "provenance/bool_formula.h"
 #include "provenance/cone.h"
 #include "repair/repair_options.h"
-#include "sat/min_ones.h"
-#include "sat/solver.h"
+#include "repair/stability_model.h"
 
 namespace deltarepair {
 
@@ -118,12 +114,6 @@ class RepairSpace {
   virtual std::optional<CqaCounterexample> Counterexample(
       const AnswerProvenance& prov, ExecContext* ctx) = 0;
 
-  /// Called once by the evaluator with the grounded answer count before
-  /// any judge is created or any verdict is asked. Lets a space size its
-  /// shared machinery to the request — e.g. the warm space only builds
-  /// its cone decomposition when enough answers will amortize it.
-  virtual void PrepareJudges(size_t num_answers) { (void)num_answers; }
-
   /// Per-worker judge for parallel evaluation, or nullptr when the
   /// space only supports direct (sequential) calls on its own methods.
   virtual std::unique_ptr<AnswerJudge> NewJudge() { return nullptr; }
@@ -171,19 +161,20 @@ class EnumeratedRepairSpace : public RepairSpace {
   std::vector<std::unordered_set<uint64_t>> packed_;  // per repair
 };
 
-/// The independent space, symbolically: the stability CNF reduced to a
-/// minimum-repair cone decomposition (provenance/cone.h). Per-answer
-/// verdicts run through SlicedJudge on the answer's memoized cone slice
-/// (fresh throwaway solvers — thread-safe and deterministic); the
-/// pre-slicing full-CNF machinery (one shared incremental CDCL solver
-/// with per-component totalizer caps, loaded lazily on first use) stays
-/// as the soundness fallback and the differential-test oracle.
+/// The independent space over one StabilityModel. Per-answer verdicts
+/// run through SlicedJudge (cqa/entailment.h) on the answer's memoized
+/// cone slice, on fresh throwaway solvers — thread-safe and
+/// deterministic. The cold space owns a model built for the request;
+/// the warm engine passes in the model of its current CNF epoch.
 class SymbolicRepairSpace : public RepairSpace {
  public:
-  /// Builds the space over the view's current state. Reads ctx for
+  /// Builds a fresh model over the view's current state. Reads ctx for
   /// budget/cancel; on truncation the space is inexact.
   SymbolicRepairSpace(InstanceView* view, const Program& program,
                       const RepairOptions& options, ExecContext* ctx);
+  /// Serves a prebuilt model; nullptr makes the space inexact.
+  SymbolicRepairSpace(std::shared_ptr<const StabilityModel> model,
+                      const MinOnesOptions& min_ones_options);
 
   /// Direct calls delegate to a temporary judge.
   CqaVerdict Certain(const AnswerProvenance& prov,
@@ -195,52 +186,19 @@ class SymbolicRepairSpace : public RepairSpace {
 
   std::unique_ptr<AnswerJudge> NewJudge() override;
 
-  void AddStats(RepairStats* stats) const override;
+  /// This request's judge counters plus the model's build-side counters
+  /// (for a warm model: since its epoch began).
   void AddSliceStats(SliceStats* stats) const override;
 
  private:
-  friend class SymbolicJudge;
+  friend class SlicedJudge;
 
-  /// Loads the shared fallback solver with the full stability CNF plus
-  /// per-component totalizer caps. A cap wider than
-  /// MinOnesOptions::max_totalizer_area is skipped and its component's
-  /// variables marked in uncapped_. Requires fallback_mu_.
-  void EnsureFallbackLoadedLocked();
-  /// True when `prov` touches an uncapped component: the fallback solver
-  /// would range over a superset of the minimum repairs there, so the
-  /// verdict stays undecided. Requires fallback_mu_ and a loaded solver.
-  bool TouchesUncappedLocked(const AnswerProvenance& prov) const;
-  /// Full-CNF verdicts on the shared solver (selector-retired clause
-  /// groups); serialize internally on fallback_mu_.
-  CqaVerdict FallbackCertain(const AnswerProvenance& prov, ExecContext* ctx);
-  CqaVerdict FallbackPossible(const AnswerProvenance& prov,
-                              ExecContext* ctx);
-  /// Full-CNF counterexample: Min-Ones over a private copy of
-  /// stability ∧ ¬φ (no shared solver — runs concurrently).
-  std::optional<CqaCounterexample> FallbackCounterexample(
-      const AnswerProvenance& prov, ExecContext* ctx);
+  void SetModel(std::shared_ptr<const StabilityModel> model);
 
-  /// Monomial death clause: the positive deletion literals of the
-  /// monomial's touched tuples. Returns false when the monomial has no
-  /// touched tuple (it survives every repair).
-  bool DeathClause(const std::vector<TupleId>& monomial,
-                   std::vector<Lit>* out);
-  /// Runs one assumption solve under the remaining ctx budget.
-  SolveStatus SolveUnder(ExecContext* ctx, const std::vector<Lit>& assumptions);
-
-  DeletionCnfBuilder builder_;
+  std::shared_ptr<const StabilityModel> model_;
   MinOnesOptions min_ones_options_;
-  SliceOptions slice_options_;
-  /// The proven-minimum model of the stability CNF (phase 2).
-  std::vector<bool> min_model_;
-  std::unique_ptr<ConeSlicer> slicer_;
 
-  std::mutex fallback_mu_;  // serializes solver_ use and lazy loading
-  bool fallback_loaded_ = false;
-  CdclSolver solver_;
-  std::vector<char> uncapped_;  // per deletion variable: its cap skipped
-
-  std::mutex stats_mu_;  // judges flush counters concurrently
+  mutable std::mutex stats_mu_;  // judges flush counters concurrently
   SliceStats slice_stats_;
 };
 

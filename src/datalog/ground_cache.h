@@ -16,7 +16,7 @@
 // them (enumerated by pivoted delta grounding). Retracted entries keep
 // their id and are revived in place when the same assignment becomes
 // valid again (delete-then-reinsert), so downstream layers can key
-// per-ground-rule state (e.g. solver selector literals) by id.
+// per-ground-rule state (e.g. stability-CNF clauses) by id.
 #ifndef DELTAREPAIR_DATALOG_GROUND_CACHE_H_
 #define DELTAREPAIR_DATALOG_GROUND_CACHE_H_
 

@@ -71,9 +71,7 @@ void AddCqaStatsToMetrics(const CqaStats& stats) {
                      "Entailment solves answered on a cone slice");
   static Counter* fallbacks =
       reg.GetCounter("drepair_cqa_slice_fallbacks_total",
-                     "Entailment verdicts that needed the full CNF");
-  static Counter* scrubs = reg.GetCounter(
-      "drepair_cqa_scrub_runs_total", "Warm entailment solver compactions");
+                     "Counterexamples rerun on the full CNF");
 
   answers->Inc(stats.answers);
   certain->Inc(stats.certain_answers);
@@ -82,7 +80,6 @@ void AddCqaStatsToMetrics(const CqaStats& stats) {
   monomials->Inc(stats.monomials);
   sliced->Inc(stats.slice.sliced_solve_calls);
   fallbacks->Inc(stats.slice.slice_fallbacks);
-  scrubs->Inc(stats.slice.scrub_runs);
   AddRepairStatsToMetrics(stats.repair);
 }
 

@@ -78,11 +78,17 @@ struct ThreadBuffer {
     s.seq.store(seq + 2, std::memory_order_release);  // even: stable
   }
 
-  // Any thread; torn slots are skipped.
-  void CollectInto(std::vector<TraceEvent>* out) const {
+  // Any thread; torn slots are skipped and counted.
+  void CollectInto(std::vector<TraceEvent>* out, TraceLoss* loss) const {
+    const uint64_t written = head.load(std::memory_order_acquire);
+    if (written > slots.size()) loss->overwritten += written - slots.size();
     for (const Slot& s : slots) {
       uint64_t s1 = s.seq.load(std::memory_order_acquire);
-      if (s1 == 0 || (s1 & 1) != 0) continue;
+      if (s1 == 0) continue;
+      if ((s1 & 1) != 0) {
+        ++loss->torn;
+        continue;
+      }
       TraceEvent ev;
       ev.name = s.name.load(std::memory_order_relaxed);
       ev.start_ns = s.start_ns.load(std::memory_order_relaxed);
@@ -96,7 +102,10 @@ struct ThreadBuffer {
         ev.arg_vals[i] = s.vals[i].load(std::memory_order_relaxed);
       }
       std::atomic_thread_fence(std::memory_order_acquire);
-      if (s.seq.load(std::memory_order_relaxed) != s1) continue;
+      if (s.seq.load(std::memory_order_relaxed) != s1) {
+        ++loss->torn;
+        continue;
+      }
       if (ev.name == nullptr) continue;
       out->push_back(ev);
     }
@@ -177,7 +186,7 @@ void Trace::Enable(bool on) {
 }
 
 void Trace::SetRingCapacity(size_t slots) {
-  size_t capacity = 64;
+  size_t capacity = 8;
   while (capacity < slots) capacity <<= 1;
   g_ring_capacity.store(capacity, std::memory_order_relaxed);
 }
@@ -218,13 +227,17 @@ void Trace::Emit(const char* name, uint64_t start_ns, uint64_t end_ns,
   buf->Record(ev);
 }
 
-std::vector<TraceEvent> Trace::Collect() {
+std::vector<TraceEvent> Trace::Collect() { return Collect(nullptr); }
+
+std::vector<TraceEvent> Trace::Collect(TraceLoss* loss) {
   std::vector<TraceEvent> out;
+  TraceLoss counted;
   BufferRegistry& reg = BufferRegistry::Get();
   {
     std::lock_guard<std::mutex> lock(reg.mu);
-    for (const auto& buf : reg.all) buf->CollectInto(&out);
+    for (const auto& buf : reg.all) buf->CollectInto(&out, &counted);
   }
+  if (loss != nullptr) *loss = counted;
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.start_ns < b.start_ns;
@@ -249,7 +262,8 @@ void Trace::Clear() {
 }
 
 void Trace::WriteChromeJson(JsonWriter& json,
-                            const std::vector<TraceEvent>& events) {
+                            const std::vector<TraceEvent>& events,
+                            const TraceLoss& loss) {
   json.BeginObject();
   json.Key("traceEvents");
   json.BeginArray();
@@ -281,12 +295,18 @@ void Trace::WriteChromeJson(JsonWriter& json,
   }
   json.EndArray();
   json.Field("displayTimeUnit", "ms");
+  json.Key("otherData");
+  json.BeginObject();
+  json.Field("overwritten_spans", loss.overwritten);
+  json.Field("torn_spans", loss.torn);
+  json.EndObject();
   json.EndObject();
 }
 
-std::string Trace::ChromeJson(const std::vector<TraceEvent>& events) {
+std::string Trace::ChromeJson(const std::vector<TraceEvent>& events,
+                              const TraceLoss& loss) {
   JsonWriter json;
-  WriteChromeJson(json, events);
+  WriteChromeJson(json, events, loss);
   return json.str();
 }
 

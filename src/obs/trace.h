@@ -12,6 +12,8 @@
 // setup, wait-free for the recording thread. Collection (trace dump,
 // flight recorder) walks every registered ring and keeps the slots
 // whose seqlock was stable — a torn slot is dropped, never blocked on.
+// Collection also counts what it could not return (TraceLoss): spans a
+// wrapped ring overwrote, and torn slots.
 //
 // Span names and argument keys must be string literals (or otherwise
 // have static storage duration): records keep the pointer, not a copy.
@@ -56,6 +58,14 @@ struct TraceEvent {
   uint64_t arg_vals[kMaxSpanArgs] = {};
 };
 
+/// Spans one collection could not return: those a wrapped ring
+/// overwrote before it (head - capacity per ring), and slots torn by a
+/// concurrent write.
+struct TraceLoss {
+  uint64_t overwritten = 0;
+  uint64_t torn = 0;
+};
+
 namespace trace_internal {
 extern std::atomic<bool> g_enabled;
 inline bool Enabled() {
@@ -73,7 +83,7 @@ class Trace {
   static bool enabled() { return trace_internal::Enabled(); }
 
   /// Ring capacity in slots per thread (rounded up to a power of two,
-  /// minimum 64). Applies to buffers created after the call; the
+  /// minimum 8). Applies to buffers created after the call; the
   /// default is 4096 (~700KB per recording thread).
   static void SetRingCapacity(size_t slots);
 
@@ -98,19 +108,25 @@ class Trace {
   static void Emit(const char* name, uint64_t start_ns, uint64_t end_ns,
                    uint64_t trace_id);
 
-  /// Snapshot of every stable recorded span, oldest first. The filtered
-  /// overload keeps only one trace id's spans.
+  /// Snapshot of every stable recorded span, oldest first; `loss`
+  /// (nullable) receives what the rings lost. The filtered overload
+  /// keeps only one trace id's spans.
   static std::vector<TraceEvent> Collect();
+  static std::vector<TraceEvent> Collect(TraceLoss* loss);
   static std::vector<TraceEvent> CollectTrace(uint64_t trace_id);
 
   /// Drops all recorded spans (rings stay registered).
   static void Clear();
 
   /// Chrome trace_event JSON ({"traceEvents":[...]}; load via
-  /// chrome://tracing or https://ui.perfetto.dev).
+  /// chrome://tracing or https://ui.perfetto.dev). The top-level
+  /// "otherData" object carries `loss` as overwritten_spans and
+  /// torn_spans.
   static void WriteChromeJson(JsonWriter& json,
-                              const std::vector<TraceEvent>& events);
-  static std::string ChromeJson(const std::vector<TraceEvent>& events);
+                              const std::vector<TraceEvent>& events,
+                              const TraceLoss& loss = {});
+  static std::string ChromeJson(const std::vector<TraceEvent>& events,
+                                const TraceLoss& loss = {});
 };
 
 /// Installs `id` as the current thread's trace id for the scope's

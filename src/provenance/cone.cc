@@ -56,25 +56,16 @@ void SliceStats::Add(const SliceStats& o) {
   cone_clauses += o.cone_clauses;
   sliced_solve_calls += o.sliced_solve_calls;
   slice_fallbacks += o.slice_fallbacks;
-  scrub_runs += o.scrub_runs;
-  clauses_reclaimed += o.clauses_reclaimed;
 }
 
 ConeSlicer::ConeSlicer(const Cnf& cnf, const std::vector<bool>& min_model,
-                       bool optimal, std::vector<uint64_t> content_ids) {
+                       const std::vector<uint64_t>& content_ids) {
   Span span("cone.decompose");
   span.SetArg("vars", cnf.num_vars());
   ScopedTimer timer(&build_stats_.cone_seconds);
   num_vars_ = cnf.num_vars();
-  // Pure-negative elimination pins variables to the value they take in
-  // *minimum* models; without a proven optimum that reading is unsound.
-  if (!optimal) return;
-  if (!content_ids.empty() && content_ids.size() != num_vars_) return;
+  if (content_ids.size() != num_vars_) return;
   if (!Preprocess(cnf, min_model)) return;
-  if (content_ids.empty()) {
-    content_ids.resize(num_vars_);
-    std::iota(content_ids.begin(), content_ids.end(), uint64_t{0});
-  }
   BuildComponents(min_model, content_ids);
   valid_ = true;
 }
@@ -274,8 +265,8 @@ ConeSlicer::ReducedAnswer ConeSlicer::Reduce(
   return out;
 }
 
-const ConeSlicer::Slice* ConeSlicer::GetSlice(
-    const std::vector<uint32_t>& seed_open_vars, uint32_t max_cone_vars) {
+const ConeSlicer::Slice& ConeSlicer::GetSlice(
+    const std::vector<uint32_t>& seed_open_vars) {
   std::vector<uint32_t> comps;
   comps.reserve(seed_open_vars.size());
   for (uint32_t v : seed_open_vars) comps.push_back(comp_of_[v]);
@@ -284,7 +275,6 @@ const ConeSlicer::Slice* ConeSlicer::GetSlice(
 
   size_t total_vars = 0;
   for (uint32_t c : comps) total_vars += comps_[c].vars.size();
-  if (total_vars > max_cone_vars) return nullptr;
 
   uint64_t key = Mix1(0xfedcba0987654321ULL, comps.size());
   for (uint32_t c : comps) key = Mix1(key, c);
@@ -292,7 +282,7 @@ const ConeSlicer::Slice* ConeSlicer::GetSlice(
   std::lock_guard<std::mutex> lock(mu_);
   auto it = slices_.find(key);
   if (it != slices_.end() && it->second->comps == comps) {
-    return it->second.get();
+    return *it->second;
   }
 
   Span span("cone.slice");
@@ -336,7 +326,7 @@ const ConeSlicer::Slice* ConeSlicer::GetSlice(
   }
   build_stats_.cone_vars += total_vars;
   build_stats_.cone_clauses += slice->cnf.num_clauses();
-  const Slice* result = slice.get();
+  const Slice& result = *slice;
   // A 64-bit key collision between distinct component sets would serve
   // the wrong slice; keep the old entry and hand out this one unmemoized.
   if (it == slices_.end()) slices_[key] = std::move(slice);

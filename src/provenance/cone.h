@@ -61,9 +61,7 @@ struct SliceStats {
   uint64_t cone_vars = 0;     // summed over distinct cones built
   uint64_t cone_clauses = 0;  // summed over distinct cones built
   uint64_t sliced_solve_calls = 0;  // solves answered on a slice
-  uint64_t slice_fallbacks = 0;     // verdicts that needed the full CNF
-  uint64_t scrub_runs = 0;          // warm path: solver compactions
-  uint64_t clauses_reclaimed = 0;   // warm path: clauses scrubbed away
+  uint64_t slice_fallbacks = 0;     // counterexamples rerun on the full CNF
   void Add(const SliceStats& o);
 };
 
@@ -75,20 +73,18 @@ class ConeSlicer {
     kOpen = 2,           // lives in a residual component
   };
 
-  /// `cnf` is the (normalized) stability CNF over deletion variables
-  /// 0..cnf.num_vars()-1; `min_model` a minimum model of it and
-  /// `optimal` whether its minimality is proven (without a proven
-  /// optimum the pure-literal reduction is unsound and the slicer
-  /// reports !valid()). `content_ids` (optional, else var ids) give a
-  /// renumbering-stable identity per variable — the warm path passes
-  /// packed tuple ids so component content keys survive solver scrubs
-  /// and rebuilds.
+  /// `cnf` is the stability CNF over deletion variables
+  /// 0..cnf.num_vars()-1 and `min_model` a *proven* minimum model of it
+  /// (the pure-literal reduction reads minimality). `content_ids` give
+  /// each variable an identity that does not depend on its number —
+  /// packed tuple ids — so component content keys compare across
+  /// epochs and rebuilds.
   ConeSlicer(const Cnf& cnf, const std::vector<bool>& min_model,
-             bool optimal, std::vector<uint64_t> content_ids = {});
+             const std::vector<uint64_t>& content_ids);
 
-  /// False when the optimum was unproven or the model contradicts the
-  /// propagation fixpoint (defensive: a consistent caller never trips
-  /// it) — every slicing client must then fall back to the full CNF.
+  /// False when the model contradicts the propagation fixpoint
+  /// (defensive: a consistent caller never trips it); verdicts are then
+  /// undecided.
   bool valid() const { return valid_; }
 
   uint32_t num_vars() const { return num_vars_; }
@@ -155,10 +151,8 @@ class ConeSlicer {
   };
 
   /// Memoized slice for the cone touched by `seed_open_vars` (all must
-  /// be kOpen). Returns nullptr when the cone exceeds `max_cone_vars`
-  /// (the caller falls back to the full CNF). Thread-safe.
-  const Slice* GetSlice(const std::vector<uint32_t>& seed_open_vars,
-                        uint32_t max_cone_vars);
+  /// be kOpen). Thread-safe.
+  const Slice& GetSlice(const std::vector<uint32_t>& seed_open_vars);
 
   /// Composes a local cone model into a full deletion set: the forced-
   /// deleted variables, every non-cone component's cached minimum, and

@@ -45,17 +45,6 @@ struct IndependentOptions {
   MinOnesOptions min_ones;
 };
 
-/// Knobs of the CQA cone-of-influence slicing layer (query-scoped
-/// pruning of the stability CNF; see provenance/cone.h).
-struct SliceOptions {
-  /// Decide per-answer entailment on the sliced CNF when sound,
-  /// falling back to the full formula otherwise. Disabling forces every
-  /// verdict through the full-CNF path (the differential test oracle).
-  /// The cone-width cap and the warm refresh threshold are constants
-  /// beside their readers (entailment.cc, warm_space.cc).
-  bool enable = true;
-};
-
 /// Cooperative cancellation. Cancel() may be called from any thread; the
 /// running semantics observes it at its next periodic check and unwinds
 /// with TerminationReason::kCancelled.
@@ -113,8 +102,6 @@ struct RepairOptions {
   int threads = 0;
   /// Min-Ones SAT knobs (independent semantics, Algorithm 1).
   IndependentOptions independent;
-  /// CQA query-scoped CNF slicing knobs (certain/possible entailment).
-  SliceOptions cqa_slice;
   /// Greedy-traversal knobs (step semantics, Algorithm 2).
   StepOptions step;
   /// When non-null, end semantics records every derivation here (the

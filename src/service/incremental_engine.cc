@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/timer.h"
-#include "cqa/warm_space.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "relation/database.h"
@@ -48,11 +47,7 @@ StatusOr<std::unique_ptr<IncrementalEngine>> IncrementalEngine::Create(
 
 IncrementalEngine::Stats IncrementalEngine::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  Stats out = stats_;
-  out.scrub_runs = cnf_.scrub_runs();
-  out.clauses_reclaimed = cnf_.clauses_reclaimed();
-  out.vars_reclaimed = cnf_.vars_reclaimed();
-  return out;
+  return stats_;
 }
 
 uint64_t IncrementalEngine::warm_version() const {
@@ -145,15 +140,6 @@ void IncrementalEngine::SyncLocked() {
     // On interruption the callee invalidated the cache; the next end
     // request reseeds it.
   }
-
-  if (cnf_.retired_selectors() > options_.selector_gc_threshold) {
-    // Retired-selector garbage has piled up; compact in place. Scrub
-    // physically drops the unit-retired selector clauses *and* reclaims
-    // their variables, but keeps the component cache, the saved phases
-    // and the current epoch — a valid warm optimum stays valid, so
-    // (unlike the old full re-encode) no warm state is invalidated.
-    cnf_.Scrub();
-  }
 }
 
 void IncrementalEngine::EnsureWarmSolveLocked(const MinOnesOptions& base,
@@ -177,34 +163,24 @@ void IncrementalEngine::EnsureWarmSolveLocked(const MinOnesOptions& base,
                    cnf_.SolvedAtCurrentEpoch();
 }
 
-void IncrementalEngine::EnsureWarmSliceLocked() {
-  if (warm_slice_.epoch == cnf_.epoch() && warm_slice_.slicer != nullptr) {
-    return;
-  }
-  WallTimer timer;
-  warm_slice_.slicer.reset();
-  warm_slice_.cnf = cnf_.ExtractActiveCnf(&warm_slice_.tuples);
-  warm_slice_.var_of.clear();
-  warm_slice_.var_of.reserve(warm_slice_.tuples.size());
-  // Packed tuple ids double as the renumbering-stable content identity
-  // of each dense variable, so residual-component content keys — and
-  // the verdict-cache signatures built from them — survive scrubs and
-  // rebuilds.
-  std::vector<uint64_t> content_ids;
-  content_ids.reserve(warm_slice_.tuples.size());
-  for (uint32_t i = 0; i < warm_slice_.tuples.size(); ++i) {
-    warm_slice_.var_of[warm_slice_.tuples[i].Pack()] = i;
-    content_ids.push_back(warm_slice_.tuples[i].Pack());
-  }
-  std::vector<bool> min_model(warm_slice_.tuples.size(), false);
+void IncrementalEngine::EnsureWarmModelLocked() {
+  if (warm_model_ != nullptr && warm_model_epoch_ == cnf_.epoch()) return;
+  std::vector<TupleId> tuples;
+  Cnf cnf = cnf_.ExtractActiveCnf(&tuples);
+  std::vector<bool> min_model(tuples.size(), false);
   for (const TupleId& t : last_minones_.deleted) {
-    auto it = warm_slice_.var_of.find(t.Pack());
-    if (it != warm_slice_.var_of.end()) min_model[it->second] = true;
+    min_model[static_cast<size_t>(cnf_.FindVar(t))] = true;
   }
-  warm_slice_.extract_seconds = timer.ElapsedSeconds();
-  warm_slice_.slicer = std::make_unique<ConeSlicer>(
-      warm_slice_.cnf, min_model, /*optimal=*/true, std::move(content_ids));
-  warm_slice_.epoch = cnf_.epoch();
+  // Variables only append, so the engine's own map inverts this epoch's
+  // tuples too; a tuple that gained a variable later has none here.
+  const int64_t num_vars = static_cast<int64_t>(tuples.size());
+  warm_model_ = std::make_shared<const StabilityModel>(
+      std::move(cnf), std::move(tuples), min_model,
+      [cnf = &cnf_, num_vars](TupleId t) {
+        const int64_t v = cnf->FindVar(t);
+        return v < num_vars ? v : -1;
+      });
+  warm_model_epoch_ = cnf_.epoch();
 }
 
 RepairOutcome IncrementalEngine::ExecuteRepair(const RepairRequest& request) {
@@ -342,57 +318,36 @@ std::pair<uint64_t, uint64_t> IncrementalEngine::AnswerSignatureLocked(
     b = (b + v) * 0x9e3779b97f4a7c15ULL;
     b ^= b >> 29;
   };
-  const bool cone_grained = warm_slice_.epoch == cnf_.epoch() &&
-                            warm_slice_.slicer != nullptr &&
-                            warm_slice_.slicer->valid();
+  const ConeSlicer& slicer = warm_model_->slicer();
   for (const std::vector<TupleId>& m : prov.monomials) {
     feed(m.size());
     for (const TupleId& t : m) {
       feed(t.Pack() + 1);
-      if (cone_grained) {
-        // Cone-grained: the tuple's forced state under the minimum-
-        // repair propagation fixpoint pins its contribution outright;
-        // only *open* variables key in their residual component — a far
-        // smaller unit than a raw CNF component, so an unrelated delta
-        // inside the same giant component no longer invalidates this
-        // answer's cached verdict.
-        auto it = warm_slice_.var_of.find(t.Pack());
-        if (it == warm_slice_.var_of.end()) {
-          feed(0);  // no deletion variable: never deletable
-          continue;
-        }
-        const ConeSlicer& slicer = *warm_slice_.slicer;
-        switch (slicer.state(it->second)) {
-          case ConeSlicer::VarState::kForcedKept:
-            feed(1);
-            break;
-          case ConeSlicer::VarState::kForcedDeleted:
-            feed(2);
-            break;
-          case ConeSlicer::VarState::kOpen: {
-            feed(3);
-            const std::pair<uint64_t, uint64_t> key =
-                slicer.component_content(slicer.component_of(it->second));
-            feed(key.first);
-            feed(key.second);
-            break;
-          }
-        }
+      // The tuple's forced state under the minimum-repair propagation
+      // fixpoint pins its contribution outright; only *open* variables
+      // key in their residual component — a far smaller unit than a raw
+      // CNF component, so an unrelated delta inside the same giant
+      // component does not invalidate this answer's cached verdict.
+      const int64_t v = warm_model_->FindVar(t);
+      if (v < 0) {
+        feed(0);  // no deletion variable: never deletable
         continue;
       }
-      const int64_t var = cnf_.FindVar(t);
-      if (var >= 0) {
-        // The component content key pins the entire restricted
-        // entailment problem this tuple's variable participates in; a
-        // tuple with no variable (or an unconstrained one) behaves as
-        // never-deletable and keys as (0,0) either way.
-        const ComponentKey key =
-            cnf_.ComponentKeyOf(static_cast<uint32_t>(var));
-        feed(key.first);
-        feed(key.second);
-      } else {
-        feed(0);
-        feed(0);
+      switch (slicer.state(static_cast<uint32_t>(v))) {
+        case ConeSlicer::VarState::kForcedKept:
+          feed(1);
+          break;
+        case ConeSlicer::VarState::kForcedDeleted:
+          feed(2);
+          break;
+        case ConeSlicer::VarState::kOpen: {
+          feed(3);
+          const std::pair<uint64_t, uint64_t> key = slicer.component_content(
+              slicer.component_of(static_cast<uint32_t>(v)));
+          feed(key.first);
+          feed(key.second);
+          break;
+        }
       }
     }
   }
@@ -463,17 +418,15 @@ CqaResult IncrementalEngine::ExecuteCqa(const CqaRequest& request) {
       ExecContext ctx(request.options);
       EnsureWarmSolveLocked(request.options.independent.min_ones, &ctx);
       if (!minones_valid_) break;  // cold fallback
-      // The cone decomposition is rebuilt lazily: only when this request
-      // grounds enough answers to amortize it (PrepareJudges gates on
-      // kWarmMinAnswers). mu_ is already held here, so the
-      // Locked refresh is safe from the provider.
-      WarmRepairSpace space(
-          &cnf_, last_minones_, request.options.independent.min_ones,
-          [this]() {
-            EnsureWarmSliceLocked();
-            return &warm_slice_;
-          },
-          request.options.cqa_slice);
+      EnsureWarmModelLocked();
+      SymbolicRepairSpace space(warm_model_,
+                                request.options.independent.min_ones);
+      ++stats_.warm_cqa;
+      if (!warm_model_->slicer().valid()) {
+        // Defensive: every verdict is undecided, so nothing is cached
+        // and no signature is needed.
+        return AnswerQueryWithSpace(&view_, request, &space, nullptr);
+      }
       CqaAnswerHooks hooks;
       hooks.lookup = [this, &request](const Tuple& values,
                                       const AnswerProvenance& prov,
@@ -514,7 +467,6 @@ CqaResult IncrementalEngine::ExecuteCqa(const CqaRequest& request) {
         entry.possible = possible;
         verdict_cache_[VerdictCacheKey(request, values)] = entry;
       };
-      ++stats_.warm_cqa;
       return AnswerQueryWithSpace(&view_, request, &space, &hooks);
     }
   }

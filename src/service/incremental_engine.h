@@ -7,15 +7,17 @@
 //   relation layer   a warm InstanceView carried forward by ApplyDelta;
 //   grounder layer   a GroundProgramCache advanced per delta into a
 //                    ground-program patch (added/retracted rule ids);
-//   solver layer     an IncrementalDeletionCnf applying that patch to a
-//                    long-lived CDCL solver (learned clauses survive)
-//                    with warm component-cached Min-Ones;
+//   solver layer     an IncrementalDeletionCnf applying that patch to
+//                    its clause set, with warm component-cached
+//                    Min-Ones;
 //   repair layer     a FixpointCache replaying the end-semantics
 //                    fixpoint by delete-rederive, plus per-semantics
 //                    result reuse while the ground program is unchanged;
-//   CQA layer        WarmRepairSpace entailment over the long-lived
-//                    solver plus a per-answer verdict cache keyed by the
-//                    answer's provenance cone (component content keys) —
+//   CQA layer        one StabilityModel per CNF epoch (the active
+//                    clauses, the warm optimum and their cone
+//                    decomposition), served by SymbolicRepairSpace, plus
+//                    a per-answer verdict cache keyed by the answer's
+//                    provenance cone (residual-component content keys) —
 //                    only answers whose cone intersects the delta are
 //                    re-validated.
 //
@@ -45,11 +47,11 @@
 #include <unordered_map>
 
 #include "cqa/cqa.h"
-#include "cqa/warm_space.h"
 #include "datalog/ground_cache.h"
 #include "provenance/incremental_cnf.h"
 #include "repair/fixpoint.h"
 #include "repair/repair_engine.h"
+#include "repair/stability_model.h"
 
 namespace deltarepair {
 
@@ -59,12 +61,6 @@ struct IncrementalEngineOptions {
   /// point re-grounding is cheaper than patching. <= 0 disables the
   /// fallback (always incremental).
   double cold_fallback_fraction = 0.25;
-  /// Scrub (compact in place) the long-lived solver once this many
-  /// selectors have been retired: the unit-retired selector clauses are
-  /// physically dropped and the retired selector / stale totalizer
-  /// variables reclaimed, while the component cache, saved phases and
-  /// the solved epoch survive (only learned clauses are given up).
-  size_t selector_gc_threshold = 4096;
   /// Per-answer CQA verdict cache entries kept before a full clear.
   size_t max_verdict_cache_entries = 1 << 20;
 };
@@ -103,11 +99,9 @@ class IncrementalEngine {
     uint64_t verdict_cache_misses = 0;
     uint64_t minones_components_reused = 0;
     uint64_t minones_components_solved = 0;
-    /// Long-lived-solver compaction gauges (cumulative, mirrored from
-    /// the CNF layer at read time).
+    /// Always 0 since the long-lived solver was removed; perfbench/
+    /// still reads it.
     uint64_t scrub_runs = 0;
-    uint64_t clauses_reclaimed = 0;
-    uint64_t vars_reclaimed = 0;
   };
   Stats stats() const;
 
@@ -131,9 +125,9 @@ class IncrementalEngine {
   /// Runs/reuses the warm Min-Ones pass; after a successful return
   /// cnf_.SolvedAtCurrentEpoch() holds and last_minones_ is current.
   void EnsureWarmSolveLocked(const MinOnesOptions& base, ExecContext* ctx);
-  /// Rebuilds warm_slice_ (dense snapshot + cone decomposition) when the
-  /// CNF epoch moved. Requires a valid warm optimum (minones_valid_).
-  void EnsureWarmSliceLocked();
+  /// Rebuilds warm_model_ when the CNF epoch moved. Requires a valid
+  /// warm optimum (minones_valid_).
+  void EnsureWarmModelLocked();
   /// End semantics from warm state: cached fixpoint replay, or a full
   /// fixpoint run (on the warm view) that seeds the cache.
   RepairOutcome EndRepairLocked(const RepairRequest& request);
@@ -143,13 +137,12 @@ class IncrementalEngine {
                                           SemanticsKind kind);
   RepairOutcome IndependentRepairLocked(const RepairRequest& request);
 
-  /// 128-bit signature of one answer's provenance cone. Cone-grained
-  /// when the warm slice state is current: monomial tuple ids
-  /// interleaved with each deletion variable's forced state and — for
-  /// open variables — the content key of its *residual* component,
-  /// which is far smaller than a raw CNF component on join-heavy
-  /// programs, so fewer deltas invalidate cached verdicts. Falls back
-  /// to raw component content keys when no slice state is current.
+  /// 128-bit signature of one answer's provenance cone under the
+  /// current warm_model_ (which must have a valid slicer): monomial
+  /// tuple ids interleaved with each deletion variable's forced state
+  /// and — for open variables — the content key of its *residual*
+  /// component, which is far smaller than a raw CNF component on
+  /// join-heavy programs, so fewer deltas invalidate cached verdicts.
   /// Equal signatures across versions imply equal certain/possible
   /// verdicts.
   std::pair<uint64_t, uint64_t> AnswerSignatureLocked(
@@ -176,10 +169,12 @@ class IncrementalEngine {
   uint64_t ground_epoch_ = 0;
   WarmMinOnesResult last_minones_;
   bool minones_valid_ = false;
-  /// Dense active-clause snapshot + cone decomposition, rebuilt lazily
-  /// per CNF epoch; serves warm CQA slicing and the cone-grained
-  /// verdict-cache signatures.
-  WarmSliceState warm_slice_;
+  /// The independent space of CNF epoch warm_model_epoch_, built at the
+  /// first independent CQA of the epoch; serves warm CQA and the
+  /// verdict-cache signatures. Its tuple -> variable lookup reads cnf_,
+  /// whose variables only append (bounded to the model's own count).
+  std::shared_ptr<const StabilityModel> warm_model_;
+  uint64_t warm_model_epoch_ = UINT64_MAX;
   RepairResult stage_result_, step_result_;
   uint64_t stage_epoch_ = UINT64_MAX, step_epoch_ = UINT64_MAX;
 

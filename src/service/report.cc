@@ -144,8 +144,6 @@ void WriteCqaResultJson(JsonWriter& json, const Database& db,
   json.Field("cone_clauses", stats.slice.cone_clauses);
   json.Field("sliced_solve_calls", stats.slice.sliced_solve_calls);
   json.Field("slice_fallbacks", stats.slice.slice_fallbacks);
-  json.Field("scrub_runs", stats.slice.scrub_runs);
-  json.Field("clauses_reclaimed", stats.slice.clauses_reclaimed);
   json.EndObject();
   json.EndObject();
 }

@@ -518,8 +518,9 @@ void RepairServer::ServeConnection(int fd, uint64_t enqueue_ns,
     case FrameType::kTraceRequest: {
       Bump(&Stats::trace_requests);
       emit_queue_wait(0);
-      (void)WriteFrame(fd, FrameType::kJson,
-                       Trace::ChromeJson(Trace::Collect()));
+      TraceLoss loss;
+      std::vector<TraceEvent> events = Trace::Collect(&loss);
+      (void)WriteFrame(fd, FrameType::kJson, Trace::ChromeJson(events, loss));
       RequestsTotal("trace")->Inc();
       return;
     }

@@ -261,16 +261,15 @@ TEST(CqaFallbackCapTest, CapWiderThanAreaLeavesVerdictsUndecided) {
   Program program = MakeHubAuthorInstance(&db, kHubPubs);
   StatusOr<RepairEngine> engine = RepairEngine::Create(&db, program);
   ASSERT_TRUE(engine.ok());
-  // Slicing off: every verdict runs on the full-CNF fallback solver.
+  // Every verdict runs on the answer's cone slice: the whole star.
   CqaRequest request("independent", "Q(p) :- W(x, p).");
-  request.options.cqa_slice.enable = false;
   CqaResult capped_run = AnswerQuery(&engine.value(), request);
   ASSERT_TRUE(capped_run.ok());
   EXPECT_EQ(capped_run.CertainAnswers().size(), size_t{kHubPubs});
   EXPECT_EQ(capped_run.stats.undecided_answers, 0u);
 
   // Below the cap's area the cap is skipped: the space stays exact, and
-  // the fallback verdicts come back undecided instead of wrong.
+  // the sliced verdicts come back undecided instead of wrong.
   request.options.independent.min_ones.max_totalizer_area =
       2 * (kHubPubs + 1) - 1;
   Trace::Enable(true);
@@ -280,11 +279,11 @@ TEST(CqaFallbackCapTest, CapWiderThanAreaLeavesVerdictsUndecided) {
   Trace::Enable(false);
   Trace::Clear();
   ASSERT_TRUE(uncapped_run.ok());
-  // Each undecided fallback verdict (certain, then possible) says why on
+  // Each undecided sliced verdict (certain, then possible) says why on
   // its span.
   size_t skipped = 0;
   for (const TraceEvent& e : events) {
-    if (std::string(e.name) != "cqa.fallback") continue;
+    if (std::string(e.name) != "cqa.slice_solve") continue;
     ASSERT_STREQ(e.arg_keys[0], "cap_skipped");
     EXPECT_EQ(e.arg_vals[0], 1u);
     ++skipped;

@@ -257,11 +257,9 @@ TEST(IncrementalEngineTest, DeleteThenReinsertAcrossDeltaBoundary) {
 
 TEST(IncrementalEngineTest, WideEntailmentCapLeavesFallbackUndecided) {
   // A hub author writing six papers: one component of 7 variables with
-  // minimum 1 (delete the author), so its cap has area 7 x 2 = 14. Six
-  // answers stay under the warm engine's 16-answer slicing threshold,
-  // so every warm verdict runs on the long-lived solver under
-  // entail_assumptions(). The cold engine decides the same answers on
-  // cone slices, whose caps must obey the same area bound.
+  // minimum 1 (delete the author), so its cap has area 7 x 2 = 14. Warm
+  // and cold both decide every answer on its cone slice — the whole
+  // component — whose cap must obey the area bound.
   Database db;
   Program program = MakeHubAuthorInstance(&db, 6);
   Database cold_db = db;
@@ -302,10 +300,50 @@ TEST(IncrementalEngineTest, WideEntailmentCapLeavesFallbackUndecided) {
   EXPECT_EQ(cold_capped.CertainAnswers(), capped_run.CertainAnswers());
 }
 
+TEST(IncrementalEngineTest, WarmHubQueryDecidedAsCold) {
+  // The one-answer hub query of the served MAS workload, under
+  // independent: the warm space must decide exactly what the cold one
+  // decides.
+  MasConfig config;
+  config.seed = 42;
+  MasData mas = GenerateMas(config.Scaled(0.1));
+  Program program = MasProgram(20, mas.hubs);
+  const std::string query =
+      "Q(p, t) :- Publication(p, t), Cite(c, p), p = " +
+      std::to_string(mas.hubs.hub_pub_pid) + ".";
+  Database cold_db = mas.db;
+  StatusOr<std::unique_ptr<IncrementalEngine>> warm =
+      IncrementalEngine::Create(&mas.db, program);
+  ASSERT_TRUE(warm.ok());
+  StatusOr<RepairEngine> cold = RepairEngine::Create(&cold_db, program);
+  ASSERT_TRUE(cold.ok());
+
+  CqaRequest request("independent", query);
+  CqaResult warm_run = (*warm)->ExecuteCqa(request);
+  CqaResult cold_run = AnswerQuery(&*cold, request);
+  ASSERT_TRUE(warm_run.ok()) << warm_run.status.ToString();
+  ASSERT_TRUE(cold_run.ok()) << cold_run.status.ToString();
+  EXPECT_EQ((*warm)->stats().warm_cqa, 1u);
+  EXPECT_EQ(cold_run.stats.undecided_answers, 0u);
+  EXPECT_EQ(warm_run.stats.undecided_answers, 0u);
+  ASSERT_EQ(warm_run.answers.size(), cold_run.answers.size());
+  ASSERT_FALSE(cold_run.answers.empty());
+  for (size_t i = 0; i < cold_run.answers.size(); ++i) {
+    const CqaAnswer& w = warm_run.answers[i];
+    const CqaAnswer& c = cold_run.answers[i];
+    EXPECT_EQ(w.values, c.values) << i;
+    EXPECT_EQ(w.certain, c.certain) << i;
+    EXPECT_EQ(w.possible, c.possible) << i;
+    EXPECT_EQ(w.certain_decided, c.certain_decided) << i;
+    EXPECT_EQ(w.possible_decided, c.possible_decided) << i;
+    EXPECT_EQ(w.decided, c.decided) << i;
+  }
+}
+
 TEST(IncrementalEngineTest, MassRetirementKeepsSolverSound) {
   // Disable the fraction fallback so even a delta retracting every
-  // ground rule of a component is maintained incrementally (selector
-  // retirement on the long-lived solver, never a rebuild).
+  // ground rule of a component is maintained incrementally (clause
+  // retirement, never a rebuild).
   IncrementalEngineOptions options;
   options.cold_fallback_fraction = 0;  // <= 0: always incremental
   WarmFixture f(options);
@@ -322,8 +360,8 @@ TEST(IncrementalEngineTest, MassRetirementKeepsSolverSound) {
       f.warm->ExecuteRepair(MakeRepairRequest("independent"));
   EXPECT_EQ(quiet.result.size(), 0u);
 
-  // Revive the component; the retired selectors must not leak clauses
-  // into the revived encoding.
+  // Revive the component; the retired clauses must come back exactly
+  // once in the revived encoding.
   f.ex.db.ApplyUpdate(0, true, {g1, g2});
   f.CheckAllSemantics("after reviving all grants");
 

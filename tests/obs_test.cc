@@ -284,6 +284,25 @@ TEST_F(TraceTest, RingWrapsKeepingNewestSpans) {
   EXPECT_EQ(events.front().arg_vals[0], 200u - events.size());
 }
 
+TEST_F(TraceTest, CollectCountsOverwrittenSpans) {
+  Trace::SetRingCapacity(8);
+  // A fresh thread gets a fresh 8-slot ring; 20 spans overwrite 12.
+  std::thread t([] {
+    for (int i = 0; i < 20; ++i) Span span("test.lost");
+  });
+  t.join();
+  Trace::SetRingCapacity(4096);
+  TraceLoss loss;
+  std::vector<TraceEvent> events = Trace::Collect(&loss);
+  EXPECT_EQ(EventsNamed(events, "test.lost").size(), 8u);
+  EXPECT_EQ(loss.overwritten, 12u);
+  EXPECT_EQ(loss.torn, 0u);
+  EXPECT_NE(Trace::ChromeJson(events, loss)
+                .find("\"otherData\":{\"overwritten_spans\":12,"
+                      "\"torn_spans\":0}"),
+            std::string::npos);
+}
+
 TEST_F(TraceTest, CrossThreadSpansCarryDistinctTidsAndInheritedId) {
   const uint64_t id = Trace::NewTraceId();
   TraceIdScope scope(id);

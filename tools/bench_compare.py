@@ -6,6 +6,10 @@ The committed baseline is a JSON array of bench documents
 the command line holds one such document (or an array of them). Rows
 are matched on (bench, scale, name) — a run made at DR_SCALE=0.1 is
 only compared against a baseline document recorded at the same scale.
+Run documents of the same (bench, scale) are repeated runs: each
+metric is compared by its median across them, so one scheduling stall
+in one run does not fail the gate, while a regression in most runs
+still does. A single document per (bench, scale) is compared as is.
 
 Two metric families are gated, each with its own tolerance band:
 
@@ -24,7 +28,8 @@ A row regresses when current > baseline * (1 + band). Improvements
 beyond the band are reported (they usually mean the baseline wants a
 refresh) but never fail the run. Rows present in the matched baseline
 document but missing from the run fail it — losing coverage must be
-deliberate, i.e. accompanied by a baseline refresh.
+deliberate, i.e. accompanied by a baseline refresh. With repeated
+runs, every run must carry every baseline row.
 
 Exit status: 0 clean, 1 regressions (or coverage loss / too few
 comparisons), 2 usage or malformed input.
@@ -34,11 +39,15 @@ Examples:
   tools/bench_compare.py --baseline BENCH_baseline.json cqa.json
   tools/bench_compare.py --baseline BENCH_baseline.json \
       --override 'bench_cqa/mas20/.*=0.5' --tolerance 0.25 *.json
+  for i in 1 2 3; do DR_BENCH_JSON=fig7_$i.json \
+      ./build/bench_fig7_mas_runtime; done
+  tools/bench_compare.py --baseline BENCH_baseline.json fig7_*.json
 """
 
 import argparse
 import json
 import re
+import statistics
 import sys
 
 COUNTER_METRICS = (
@@ -59,6 +68,10 @@ COUNTER_METRICS = (
 
 def is_seconds_metric(key):
     return key == "seconds" or key.endswith("_seconds")
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_docs(path):
@@ -159,10 +172,8 @@ def main():
         print(f"error: baseline: {e}", file=sys.stderr)
         return 2
 
-    compared = 0
-    regressions = []
-    improvements = []
-    skipped_docs = []
+    # Run documents grouped by (bench, scale), in first-seen order.
+    groups = {}
     for path in args.runs:
         try:
             run_docs = load_docs(path)
@@ -170,50 +181,67 @@ def main():
             print(f"error: {e}", file=sys.stderr)
             return 2
         for doc in run_docs:
-            key = doc_key(doc)
-            base_rows = baseline.get(key)
-            if base_rows is None:
+            groups.setdefault(doc_key(doc), []).append((path, doc))
+
+    compared = 0
+    regressions = []
+    improvements = []
+    skipped_docs = []
+    for key, members in groups.items():
+        base_rows = baseline.get(key)
+        if base_rows is None:
+            for path, _ in members:
                 skipped_docs.append((path, key[0], key[1]))
-                continue
-            run_rows = {row["name"]: row for row in doc["rows"]}
+            continue
+        run_rows = {}  # row name -> that row in every run carrying it
+        for path, doc in members:
+            names = {row["name"] for row in doc["rows"]}
             for name in base_rows:
-                if name not in run_rows:
+                if name not in names:
                     regressions.append(
                         f"{key[0]}/{name}: row present in baseline but "
                         f"missing from {path}"
                     )
-            for name, row in run_rows.items():
-                base = base_rows.get(name)
-                if base is None:
-                    continue  # new row: becomes gated once the baseline has it
-                row_id = f"{key[0]}/{name}"
-                row_band = find_override(overrides, row_id)
-                for metric, cur in row.items():
-                    if not isinstance(cur, (int, float)) or isinstance(cur, bool):
-                        continue
-                    if is_seconds_metric(metric):
-                        band, floor = args.tolerance, args.min_seconds
-                    elif metric in COUNTER_METRICS:
-                        band, floor = counter_tol, args.min_counter
-                    else:
-                        continue
-                    ref = base.get(metric)
-                    if not isinstance(ref, (int, float)) or isinstance(ref, bool):
-                        continue
-                    if max(cur, ref) < floor:
-                        continue
-                    compared += 1
-                    if row_band is not None:
-                        band = row_band
-                    line = (
-                        f"{row_id} {metric}: {ref:g} -> {cur:g} "
-                        f"({100 * (cur / ref - 1) if ref else 0:+.0f}%, "
-                        f"band +-{100 * band:.0f}%)"
-                    )
-                    if cur > ref * (1 + band):
-                        regressions.append(line)
-                    elif cur < ref * (1 - band):
-                        improvements.append(line)
+            for row in doc["rows"]:
+                run_rows.setdefault(row["name"], []).append(row)
+        for name, rows in run_rows.items():
+            base = base_rows.get(name)
+            if base is None:
+                continue  # new row: becomes gated once the baseline has it
+            row_id = f"{key[0]}/{name}"
+            row_band = find_override(overrides, row_id)
+            metrics = list(dict.fromkeys(m for row in rows for m in row))
+            for metric in metrics:
+                values = [row[metric] for row in rows if is_number(row.get(metric))]
+                if not values:
+                    continue
+                cur = statistics.median(values)
+                if is_seconds_metric(metric):
+                    band, floor = args.tolerance, args.min_seconds
+                elif metric in COUNTER_METRICS:
+                    band, floor = counter_tol, args.min_counter
+                else:
+                    continue
+                ref = base.get(metric)
+                if not is_number(ref):
+                    continue
+                if max(cur, ref) < floor:
+                    continue
+                compared += 1
+                if row_band is not None:
+                    band = row_band
+                line = (
+                    f"{row_id} {metric}: {ref:g} -> {cur:g} "
+                    f"({100 * (cur / ref - 1) if ref else 0:+.0f}%, "
+                    f"band +-{100 * band:.0f}%)"
+                )
+                if len(values) > 1:
+                    runs = ", ".join(f"{v:g}" for v in values)
+                    line += f" [median of {len(values)} runs: {runs}]"
+                if cur > ref * (1 + band):
+                    regressions.append(line)
+                elif cur < ref * (1 - band):
+                    improvements.append(line)
 
     for path, bench, scale in skipped_docs:
         level = "error" if args.require_doc else "warning"

@@ -261,14 +261,22 @@ int main(int argc, char** argv) {
   if (data_dir.empty() || program_path.empty()) return Usage(argv[0]);
 
   if (!trace_out.empty()) Trace::Enable(true);
-  // Dumps whatever was recorded on every exit path once tracing is on.
+  // Dumps whatever was recorded on every exit path once tracing is on,
+  // and says so when the per-thread rings lost spans.
   struct TraceDump {
     std::string path;
     ~TraceDump() {
       if (path.empty()) return;
-      if (!WriteFileOrWarn(path, Trace::ChromeJson(Trace::Collect()))) {
-        return;
+      TraceLoss loss;
+      std::vector<TraceEvent> events = Trace::Collect(&loss);
+      if (loss.overwritten != 0 || loss.torn != 0) {
+        std::fprintf(stderr,
+                     "warning: trace lost spans: %llu overwritten by a "
+                     "wrapped ring, %llu torn\n",
+                     static_cast<unsigned long long>(loss.overwritten),
+                     static_cast<unsigned long long>(loss.torn));
       }
+      if (!WriteFileOrWarn(path, Trace::ChromeJson(events, loss))) return;
       std::printf("trace written to %s\n", path.c_str());
     }
   } trace_dump{trace_out};
