@@ -166,12 +166,8 @@ std::optional<CqaCounterexample> SlicedJudge::Counterexample(
     // cone's share of the optimum.
     Cnf cnf = slice.cnf;
     for (const std::vector<uint32_t>& mono : red.monomials) {
-      std::vector<Lit> clause;
-      clause.reserve(mono.size());
-      for (uint32_t v : mono) {
-        clause.push_back(PosLit(slice.local_of_global.at(v)));
-      }
-      cnf.AddClause(std::move(clause));
+      for (uint32_t v : mono) cnf.PushLit(PosLit(slice.local_of_global.at(v)));
+      cnf.EndClause();
     }
     ++slice_stats_.sliced_solve_calls;
     MinOnesResult solved = MinOnesSat(cnf, BudgetedMinOnes(ctx));
@@ -214,13 +210,15 @@ std::optional<CqaCounterexample> SlicedJudge::FullCounterexample(
   // the witness is itself a minimum repair.
   Cnf cnf = model_->cnf();
   for (const std::vector<TupleId>& m : prov.monomials) {
-    std::vector<Lit> clause;
+    bool killable = false;
     for (const TupleId& t : m) {
       const int64_t v = model_->FindVar(t);
-      if (v >= 0) clause.push_back(PosLit(static_cast<uint32_t>(v)));
+      if (v < 0) continue;
+      cnf.PushLit(PosLit(static_cast<uint32_t>(v)));
+      killable = true;
     }
-    if (clause.empty()) return std::nullopt;  // unkillable
-    cnf.AddClause(std::move(clause));
+    if (!killable) return std::nullopt;  // no deletion variable to kill it
+    cnf.EndClause();
   }
   MinOnesResult solved = MinOnesSat(cnf, BudgetedMinOnes(ctx));
   repair_stats_.AddSolver(solved.solver);

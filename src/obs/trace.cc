@@ -35,9 +35,12 @@ uint64_t SteadyNowNs() {
 }
 
 // One ring slot under a per-slot seqlock: `seq` is odd while the owner
-// thread writes, and payload words are relaxed atomics, so collectors
-// racing a wrapping writer read either a stable record or a detectable
-// torn one — never a data race.
+// thread writes, and payload words are atomics, so collectors racing a
+// wrapping writer read either a stable record or a detectable torn one —
+// never a data race. The ordering needs no fence: payload words are
+// stored with release and loaded with acquire, so a reader that sees any
+// word of a write also sees that write's odd `seq` (stored before it) on
+// its second load of `seq`, and drops the slot as torn.
 struct Slot {
   std::atomic<uint64_t> seq{0};
   std::atomic<const char*> name{nullptr};
@@ -64,16 +67,15 @@ struct ThreadBuffer {
     Slot& s = slots[h & mask];
     uint64_t seq = s.seq.load(std::memory_order_relaxed);
     s.seq.store(seq + 1, std::memory_order_relaxed);  // odd: writing
-    std::atomic_thread_fence(std::memory_order_release);
-    s.name.store(ev.name, std::memory_order_relaxed);
-    s.start_ns.store(ev.start_ns, std::memory_order_relaxed);
-    s.dur_ns.store(ev.dur_ns, std::memory_order_relaxed);
-    s.trace_id.store(ev.trace_id, std::memory_order_relaxed);
+    s.name.store(ev.name, std::memory_order_release);
+    s.start_ns.store(ev.start_ns, std::memory_order_release);
+    s.dur_ns.store(ev.dur_ns, std::memory_order_release);
+    s.trace_id.store(ev.trace_id, std::memory_order_release);
     s.meta.store((uint64_t{ev.tid} << 32) | ev.depth,
-                 std::memory_order_relaxed);
+                 std::memory_order_release);
     for (int i = 0; i < kMaxSpanArgs; ++i) {
-      s.keys[i].store(ev.arg_keys[i], std::memory_order_relaxed);
-      s.vals[i].store(ev.arg_vals[i], std::memory_order_relaxed);
+      s.keys[i].store(ev.arg_keys[i], std::memory_order_release);
+      s.vals[i].store(ev.arg_vals[i], std::memory_order_release);
     }
     s.seq.store(seq + 2, std::memory_order_release);  // even: stable
   }
@@ -90,18 +92,17 @@ struct ThreadBuffer {
         continue;
       }
       TraceEvent ev;
-      ev.name = s.name.load(std::memory_order_relaxed);
-      ev.start_ns = s.start_ns.load(std::memory_order_relaxed);
-      ev.dur_ns = s.dur_ns.load(std::memory_order_relaxed);
-      ev.trace_id = s.trace_id.load(std::memory_order_relaxed);
-      uint64_t meta = s.meta.load(std::memory_order_relaxed);
+      ev.name = s.name.load(std::memory_order_acquire);
+      ev.start_ns = s.start_ns.load(std::memory_order_acquire);
+      ev.dur_ns = s.dur_ns.load(std::memory_order_acquire);
+      ev.trace_id = s.trace_id.load(std::memory_order_acquire);
+      uint64_t meta = s.meta.load(std::memory_order_acquire);
       ev.tid = static_cast<uint32_t>(meta >> 32);
       ev.depth = static_cast<uint32_t>(meta & 0xffffffffu);
       for (int i = 0; i < kMaxSpanArgs; ++i) {
-        ev.arg_keys[i] = s.keys[i].load(std::memory_order_relaxed);
-        ev.arg_vals[i] = s.vals[i].load(std::memory_order_relaxed);
+        ev.arg_keys[i] = s.keys[i].load(std::memory_order_acquire);
+        ev.arg_vals[i] = s.vals[i].load(std::memory_order_acquire);
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (s.seq.load(std::memory_order_relaxed) != s1) {
         ++loss->torn;
         continue;

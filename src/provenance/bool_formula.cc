@@ -22,20 +22,18 @@ int64_t DeletionCnfBuilder::FindVar(TupleId t) const {
 }
 
 void DeletionCnfBuilder::AddAssignment(const Rule& rule, const TupleId* body) {
-  std::vector<Lit> lits;
-  lits.reserve(rule.body.size());
   for (size_t i = 0; i < rule.body.size(); ++i) {
     uint32_t v = VarOf(body[i]);
-    lits.push_back(rule.body[i].is_delta ? NegLit(v) : PosLit(v));
+    cnf_.PushLit(rule.body[i].is_delta ? NegLit(v) : PosLit(v));
   }
-  cnf_.AddClause(std::move(lits));  // drops tautologies internally
+  cnf_.EndClause();  // canonical form in place; drops tautologies
 }
 
 std::string DeletionCnfBuilder::Render(const Database& db,
                                        size_t max_clauses) const {
   std::string out;
   size_t shown = 0;
-  for (const auto& clause : cnf_.clauses()) {
+  for (const Cnf::Clause clause : cnf_.clauses()) {
     if (shown == max_clauses) {
       out += " ∧ …";
       break;

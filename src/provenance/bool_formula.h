@@ -13,6 +13,11 @@
 // contributes the clause (v_t1 ∨ … ∨ v_tk ∨ ¬v_s1 ∨ … ∨ ¬v_sj).
 // Assignments using the same tuple as both base and delta are vacuous
 // (tautological clause) and dropped.
+//
+// Each clause is written straight into the CNF's flat clause arena and
+// put in canonical order in place (sat/cnf.h), with no vector per clause.
+// Normalize() runs once, after the last assignment; the CNF then carries
+// its normalized flag into Min-Ones, which skips a second pass.
 #ifndef DELTAREPAIR_PROVENANCE_BOOL_FORMULA_H_
 #define DELTAREPAIR_PROVENANCE_BOOL_FORMULA_H_
 
@@ -29,7 +34,8 @@ class DeletionCnfBuilder {
  public:
   DeletionCnfBuilder() = default;
 
-  /// Adds the clause of one (hypothetical) assignment.
+  /// Adds the clause of one (hypothetical) assignment, appended to the
+  /// CNF's pool and canonicalized there.
   void AddAssignment(const GroundAssignment& ga) {
     DR_CHECK_MSG(ga.body.size() == ga.rule->body.size(),
                  "assignment does not match its rule");
@@ -45,8 +51,9 @@ class DeletionCnfBuilder {
 
   /// Normalizes the accumulated CNF before handing it to the solver:
   /// deduplicates identical clauses (repeated ground assignments emit
-  /// them) and drops clauses subsumed by a unit clause. Returns what was
-  /// dropped; the counters stay readable via normalize_stats().
+  /// them; the first occurrence survives) and drops clauses subsumed by a
+  /// unit clause. Returns what was dropped; the counters stay readable
+  /// via normalize_stats(), and they are the ones reports carry.
   const Cnf::NormalizeStats& Normalize() {
     normalize_stats_ = cnf_.Normalize();
     return normalize_stats_;

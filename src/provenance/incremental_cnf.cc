@@ -252,13 +252,11 @@ WarmMinOnesResult IncrementalDeletionCnf::SolveMinOnes(
         dense[comp->vars[i]] = i;
       Cnf cnf(static_cast<uint32_t>(comp->vars.size()));
       for (const auto* c : cls) {
-        std::vector<Lit> mapped;
-        mapped.reserve(c->size());
         for (Lit l : *c) {
           uint32_t dv = dense[LitVar(l)];
-          mapped.push_back(LitSign(l) ? PosLit(dv) : NegLit(dv));
+          cnf.PushLit(LitSign(l) ? PosLit(dv) : NegLit(dv));
         }
-        cnf.AddClause(std::move(mapped));
+        cnf.EndClause();
       }
       MinOnesResult res = MinOnesSat(cnf, options);
       ++out.solved_components;
@@ -298,7 +296,9 @@ Cnf IncrementalDeletionCnf::ExtractActiveCnf(
   *tuples = tuple_of_;
   Cnf cnf(num_vars());
   for (const RuleClause& rc : clauses_) {
-    if (rc.active && !rc.tautology) cnf.AddClause(rc.lits);
+    if (!rc.active || rc.tautology) continue;
+    for (Lit l : rc.lits) cnf.PushLit(l);
+    cnf.EndClause();
   }
   return cnf;
 }

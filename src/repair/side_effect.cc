@@ -164,12 +164,11 @@ StatusOr<SideEffectResult> MinimalSourceSideEffect(
             }
           }
           ++result.derivations;
-          std::vector<Lit> lits;
-          lits.reserve(ga.body.size());
+          Cnf& cnf = builder.mutable_cnf();
           for (const TupleId& t : ga.body) {
-            lits.push_back(PosLit(builder.VarOf(t)));
+            cnf.PushLit(PosLit(builder.VarOf(t)));
           }
-          builder.mutable_cnf().AddClause(std::move(lits));
+          cnf.EndClause();
           return true;
         });
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/timer.h"
+#include "obs/trace.h"
 
 namespace deltarepair {
 
@@ -62,8 +63,9 @@ bool SolveStability(InstanceView* view, const Program& program,
   }
 
   // Phase 2 (Process Prov): convert the stored provenance into the negated
-  // CNF over deletion variables (lines 2-4).
+  // CNF over deletion variables (lines 2-4), normalized once here.
   {
+    Span span("repair.process_prov");
     ScopedTimer t(&stats->process_prov_seconds);
     const TupleId* body = stored_bodies.data();
     for (const Rule* rule : stored_rules) {
@@ -76,6 +78,10 @@ bool SolveStability(InstanceView* view, const Program& program,
     std::vector<const Rule*>().swap(stored_rules);
     std::vector<TupleId>().swap(stored_bodies);
     if (!ctx->stopped()) builder->Normalize();
+    span.SetArg("clauses", builder->cnf().num_clauses());
+    span.SetArg("dup_clauses", builder->normalize_stats().duplicate_clauses);
+    span.SetArg("subsumed_clauses",
+                builder->normalize_stats().unit_subsumed_clauses);
   }
   if (ctx->stopped()) {
     stats->optimal = false;

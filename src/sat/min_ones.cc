@@ -31,6 +31,41 @@ class UnionFind {
   std::vector<uint32_t> parent_;
 };
 
+/// Min-Ones' working copy of a CNF: its pool and clause starts copied
+/// whole, plus a live length per clause. Preprocessing reduces it in
+/// place: stripping a literal swaps it with the clause's last live literal
+/// and shortens the clause, and killing a clause sets its length to 0. A
+/// live clause is never empty (emptying one is a refutation).
+struct WorkingCnf {
+  explicit WorkingCnf(const Cnf& cnf)
+      : lits(cnf.literals()), starts(cnf.starts()), len(cnf.num_clauses()) {
+    for (size_t c = 0; c < len.size(); ++c) len[c] = starts[c + 1] - starts[c];
+  }
+
+  size_t num_clauses() const { return len.size(); }
+  /// The live literals of clause `c`.
+  Cnf::Clause clause(size_t c) const {
+    const Lit* begin = lits.data() + starts[c];
+    return Cnf::Clause(begin, begin + len[c]);
+  }
+  void AddUnit(Lit l) {
+    if (starts.empty()) starts.push_back(0);
+    lits.push_back(l);
+    starts.push_back(static_cast<uint32_t>(lits.size()));
+    len.push_back(1);
+  }
+
+  std::vector<Lit> lits;
+  std::vector<uint32_t> starts;
+  std::vector<uint32_t> len;
+};
+
+Cnf NormalizedCopy(const Cnf& cnf) {
+  Cnf copy = cnf;
+  copy.Normalize();
+  return copy;
+}
+
 /// Min-Ones-specific preprocessing, run globally before decomposition.
 /// Three rules share one set of CSR occurrence lists and cascade to a
 /// fixpoint:
@@ -46,22 +81,24 @@ class UnionFind {
 ///    positive clauses; fixing v strips +v (each such clause keeps +u)
 ///    and kills the clauses holding ¬v. Round r re-examines, once each,
 ///    only the variables whose clauses died or shrank in round r-1.
-/// Mutates `clauses` (dead clauses emptied, falsified literals stripped),
-/// records decided variables in `fixed` (-1 free, 0 false, 1 true) and
-/// the rule counters in `counts`. Returns false on refutation.
-bool PreprocessMinOnes(std::vector<std::vector<Lit>>* clauses,
-                       std::vector<int8_t>* fixed, MinOnesResult* counts) {
+/// Reduces `work` in place (dead clauses at length 0, falsified literals
+/// stripped), records decided variables in `fixed` (-1 free, 0 false,
+/// 1 true) and the rule counters in `counts`. Returns false on
+/// refutation.
+bool PreprocessMinOnes(WorkingCnf* work, std::vector<int8_t>* fixed,
+                       MinOnesResult* counts) {
   const uint32_t n = static_cast<uint32_t>(fixed->size());
+  const size_t m = work->num_clauses();
+  std::vector<uint32_t>& len = work->len;
   // Occurrence lists by literal (2v = positive, 2v+1 = negative) in one
   // flat CSR block, and live occurrence counts per polarity.
   std::vector<uint32_t> occ_start(static_cast<size_t>(n) * 2 + 1, 0);
   std::vector<uint32_t> pos_count(n, 0);
   std::vector<uint32_t> neg_count(n, 0);
-  std::vector<char> dead(clauses->size(), 0);
   size_t total_lits = 0;
-  for (const auto& clause : *clauses) {
-    total_lits += clause.size();
-    for (Lit l : clause) {
+  for (size_t c = 0; c < m; ++c) {
+    total_lits += len[c];
+    for (Lit l : work->clause(c)) {
       ++occ_start[LitVar(l) * 2 + (LitSign(l) ? 0 : 1) + 1];
       ++(LitSign(l) ? pos_count : neg_count)[LitVar(l)];
     }
@@ -70,8 +107,8 @@ bool PreprocessMinOnes(std::vector<std::vector<Lit>>* clauses,
   std::vector<uint32_t> occ_flat(total_lits);
   {
     std::vector<uint32_t> cursor(occ_start.begin(), occ_start.end() - 1);
-    for (size_t c = 0; c < clauses->size(); ++c) {
-      for (Lit l : (*clauses)[c]) {
+    for (size_t c = 0; c < m; ++c) {
+      for (Lit l : work->clause(c)) {
         occ_flat[cursor[LitVar(l) * 2 + (LitSign(l) ? 0 : 1)]++] =
             static_cast<uint32_t>(c);
       }
@@ -84,9 +121,9 @@ bool PreprocessMinOnes(std::vector<std::vector<Lit>>* clauses,
   };
   std::vector<Lit> units;
   std::vector<uint32_t> pure_candidates;
-  for (size_t c = 0; c < clauses->size(); ++c) {
-    if ((*clauses)[c].size() == 1) units.push_back((*clauses)[c][0]);
-    if ((*clauses)[c].empty()) return false;
+  for (size_t c = 0; c < m; ++c) {
+    if (len[c] == 1) units.push_back(work->clause(c)[0]);
+    if (len[c] == 0) return false;
   }
   for (uint32_t v = 0; v < n; ++v) {
     if (pos_count[v] == 0) pure_candidates.push_back(v);
@@ -105,9 +142,8 @@ bool PreprocessMinOnes(std::vector<std::vector<Lit>>* clauses,
   // Kills clause `c` (it is satisfied): every other literal loses an
   // occurrence, possibly creating new pure-negative variables.
   auto kill_clause = [&](uint32_t c) {
-    if (dead[c]) return;
-    dead[c] = 1;
-    for (Lit l : (*clauses)[c]) {
+    if (len[c] == 0) return;
+    for (Lit l : work->clause(c)) {
       const uint32_t v = LitVar(l);
       if (!LitSign(l)) {
         --neg_count[v];
@@ -116,16 +152,15 @@ bool PreprocessMinOnes(std::vector<std::vector<Lit>>* clauses,
       }
       requeue(v);
     }
-    (*clauses)[c].clear();
+    len[c] = 0;
   };
   // Strips a falsified literal from clause `c`.
   auto strip_literal = [&](uint32_t c, Lit l) -> bool {
-    if (dead[c]) return true;
-    auto& lits = (*clauses)[c];
-    for (size_t i = 0; i < lits.size(); ++i) {
+    if (len[c] == 0) return true;
+    Lit* lits = work->lits.data() + work->starts[c];
+    for (uint32_t i = 0; i < len[c]; ++i) {
       if (lits[i] == l) {
-        lits[i] = lits.back();
-        lits.pop_back();
+        lits[i] = lits[--len[c]];
         break;
       }
     }
@@ -134,9 +169,9 @@ bool PreprocessMinOnes(std::vector<std::vector<Lit>>* clauses,
     } else if (--pos_count[LitVar(l)] == 0) {
       pure_candidates.push_back(LitVar(l));
     }
-    for (Lit other : lits) requeue(LitVar(other));
-    if (lits.empty()) return false;  // refuted
-    if (lits.size() == 1) units.push_back(lits[0]);
+    for (Lit other : work->clause(c)) requeue(LitVar(other));
+    if (len[c] == 0) return false;  // refuted
+    if (len[c] == 1) units.push_back(lits[0]);
     return true;
   };
   // Unit propagation and pure-negative elimination to fixpoint.
@@ -176,7 +211,7 @@ bool PreprocessMinOnes(std::vector<std::vector<Lit>>* clauses,
   // and v's live negative clauses marked with the same stamp.
   std::vector<uint32_t> co_count(n, 0);
   std::vector<uint32_t> seen(n, 0);
-  std::vector<uint32_t> neg_mark(clauses->size(), 0);
+  std::vector<uint32_t> neg_mark(m, 0);
   std::vector<uint32_t> candidates;
   uint32_t stamp = 0;
   // True when some other free variable dominates free `v`. The first
@@ -189,8 +224,8 @@ bool PreprocessMinOnes(std::vector<std::vector<Lit>>* clauses,
     uint32_t covered = 0;  // live positive clauses of v scanned so far
     auto [pos_begin, pos_end] = occ(v * 2);
     for (const uint32_t* c = pos_begin; c != pos_end; ++c) {
-      if (dead[*c]) continue;
-      for (Lit l : (*clauses)[*c]) {
+      if (len[*c] == 0) continue;
+      for (Lit l : work->clause(*c)) {
         const uint32_t u = LitVar(l);
         if (!LitSign(l) || u == v) continue;
         if (covered == 0) {
@@ -224,7 +259,7 @@ bool PreprocessMinOnes(std::vector<std::vector<Lit>>* clauses,
       bool subset = true;
       auto [u_begin, u_end] = occ(u * 2 + 1);
       for (const uint32_t* c = u_begin; c != u_end && subset; ++c) {
-        subset = dead[*c] || neg_mark[*c] == stamp;
+        subset = len[*c] == 0 || neg_mark[*c] == stamp;
       }
       if (subset) return true;
     }
@@ -261,14 +296,15 @@ bool PreprocessMinOnes(std::vector<std::vector<Lit>>* clauses,
 /// phase-hinting a cheap cover to true steers the first model close to
 /// the optimum (the old branch-and-bound's set-cover branching, recast
 /// as polarity/priority hints). Clauses with a negative literal are
-/// satisfied by the all-false default and need no hint.
-template <typename ClauseRange>
-void SeedGreedyCover(CdclSolver* solver, const ClauseRange& clauses,
-                     uint32_t num_vars) {
+/// satisfied by the all-false default and need no hint. `clause_at(i)`
+/// returns the i-th of `num_clauses` clause views; empty ones are skipped.
+template <typename ClauseAt>
+void SeedGreedyCover(CdclSolver* solver, size_t num_clauses,
+                     const ClauseAt& clause_at, uint32_t num_vars) {
   std::vector<uint32_t> pos_occ(num_vars, 0);
-  std::vector<const std::vector<Lit>*> positive_clauses;
-  for (const auto& clause_ref : clauses) {
-    const std::vector<Lit>& clause = clause_ref;
+  std::vector<Cnf::Clause> positive_clauses;
+  for (size_t i = 0; i < num_clauses; ++i) {
+    const Cnf::Clause clause = clause_at(i);
     if (clause.empty()) continue;
     bool all_positive = true;
     for (Lit l : clause) {
@@ -278,7 +314,7 @@ void SeedGreedyCover(CdclSolver* solver, const ClauseRange& clauses,
       }
     }
     if (!all_positive) continue;
-    positive_clauses.push_back(&clause);
+    positive_clauses.push_back(clause);
     for (Lit l : clause) ++pos_occ[LitVar(l)];
   }
   for (uint32_t v = 0; v < num_vars; ++v) {
@@ -286,10 +322,10 @@ void SeedGreedyCover(CdclSolver* solver, const ClauseRange& clauses,
   }
   // Greedy pass: cover each still-open clause with its busiest variable.
   std::vector<int8_t> in_cover(num_vars, 0);
-  for (const auto* clause : positive_clauses) {
+  for (const Cnf::Clause& clause : positive_clauses) {
     uint32_t best_var = UINT32_MAX;
     bool covered = false;
-    for (Lit l : *clause) {
+    for (Lit l : clause) {
       uint32_t v = LitVar(l);
       if (in_cover[v]) {
         covered = true;
@@ -307,16 +343,20 @@ void SeedGreedyCover(CdclSolver* solver, const ClauseRange& clauses,
 
 /// Lower bound from variable-disjoint all-positive clauses: each needs
 /// its own true variable (negative literals elsewhere cannot pay for
-/// them). Greedy single pass over `clauses`; `used` is caller-provided
-/// scratch (entries touched are recorded in `touched` for cheap reset).
-template <typename ClausePtrRange>
-uint32_t DisjointPositiveClauseBound(const ClausePtrRange& clauses,
+/// them). Greedy single pass over the `num_clauses` views `clause_at(i)`,
+/// skipping empty (dead) ones; `used` is caller-provided scratch (entries
+/// touched are recorded in `touched` for cheap reset).
+template <typename ClauseAt>
+uint32_t DisjointPositiveClauseBound(size_t num_clauses,
+                                     const ClauseAt& clause_at,
                                      std::vector<char>* used,
                                      std::vector<uint32_t>* touched) {
   uint32_t bound = 0;
-  for (const auto* clause : clauses) {
+  for (size_t i = 0; i < num_clauses; ++i) {
+    const Cnf::Clause clause = clause_at(i);
+    if (clause.empty()) continue;
     bool eligible = true;
-    for (Lit l : *clause) {
+    for (Lit l : clause) {
       if (!LitSign(l) || (*used)[LitVar(l)]) {
         eligible = false;
         break;
@@ -324,7 +364,7 @@ uint32_t DisjointPositiveClauseBound(const ClausePtrRange& clauses,
     }
     if (!eligible) continue;
     ++bound;
-    for (Lit l : *clause) {
+    for (Lit l : clause) {
       (*used)[LitVar(l)] = 1;
       touched->push_back(LitVar(l));
     }
@@ -344,7 +384,7 @@ uint32_t DisjointPositiveClauseBound(const ClausePtrRange& clauses,
 uint32_t SplitLowerBound(const Cnf& sub) {
   const uint32_t n = sub.num_vars();
   std::vector<uint32_t> occurrences(n, 0);
-  for (const auto& clause : sub.clauses()) {
+  for (const Cnf::Clause clause : sub.clauses()) {
     for (Lit l : clause) ++occurrences[LitVar(l)];
   }
   const uint32_t hub = static_cast<uint32_t>(
@@ -354,19 +394,17 @@ uint32_t SplitLowerBound(const Cnf& sub) {
   std::vector<uint32_t> touched;
   uint32_t bound = UINT32_MAX;
   for (Lit side : {PosLit(hub), NegLit(hub)}) {
-    std::vector<std::vector<Lit>> clauses = sub.clauses();
-    clauses.push_back({side});
+    WorkingCnf work(sub);
+    work.AddUnit(side);
     std::vector<int8_t> fixed(n, -1);
     MinOnesResult counts;
-    if (!PreprocessMinOnes(&clauses, &fixed, &counts)) continue;
-    std::vector<const std::vector<Lit>*> residual;
-    for (const auto& clause : clauses) {
-      if (!clause.empty()) residual.push_back(&clause);
-    }
+    if (!PreprocessMinOnes(&work, &fixed, &counts)) continue;
     touched.clear();
     uint32_t side_bound =
         static_cast<uint32_t>(std::count(fixed.begin(), fixed.end(), 1)) +
-        DisjointPositiveClauseBound(residual, &used, &touched);
+        DisjointPositiveClauseBound(
+            work.num_clauses(), [&](size_t c) { return work.clause(c); },
+            &used, &touched);
     for (uint32_t v : touched) used[v] = 0;
     bound = std::min(bound, side_bound);
   }
@@ -399,7 +437,7 @@ ComponentOutcome SolveComponent(const Cnf& sub,
                                 SolverStats* stats_out) {
   Span span("sat.min_ones.component");
   span.SetArg("vars", sub.num_vars());
-  span.SetArg("clauses", sub.clauses().size());
+  span.SetArg("clauses", sub.num_clauses());
   SolverOptions solver_options;
   solver_options.learning = options.enable_learning;
   solver_options.restarts = options.enable_restarts;
@@ -407,7 +445,9 @@ ComponentOutcome SolveComponent(const Cnf& sub,
   solver_options.max_work = std::max<uint64_t>(1, work_budget);
   CdclSolver solver(solver_options);
   solver.AddCnf(sub);
-  SeedGreedyCover(&solver, sub.clauses(), sub.num_vars());
+  const Cnf::ClauseRange clauses = sub.clauses();
+  const auto clause_at = [&](size_t i) { return clauses[i]; };
+  SeedGreedyCover(&solver, clauses.size(), clause_at, sub.num_vars());
 
   const uint32_t n = sub.num_vars();
   ComponentOutcome out;
@@ -421,12 +461,9 @@ ComponentOutcome SolveComponent(const Cnf& sub,
   }
   std::vector<char> lb_used(n, 0);
   std::vector<uint32_t> lb_touched;
-  std::vector<const std::vector<Lit>*> clause_ptrs;
-  clause_ptrs.reserve(sub.clauses().size());
-  for (const auto& c : sub.clauses()) clause_ptrs.push_back(&c);
   uint32_t lb = std::max(
-      forced_lb, DisjointPositiveClauseBound(clause_ptrs, &lb_used,
-                                             &lb_touched));
+      forced_lb, DisjointPositiveClauseBound(clauses.size(), clause_at,
+                                             &lb_used, &lb_touched));
   uint32_t ub = UINT32_MAX;
   std::vector<bool> latest;  // last model seen (the one blocking blocks)
   if (warm_model != nullptr) {
@@ -543,30 +580,33 @@ ComponentOutcome SolveComponent(const Cnf& sub,
 MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
   Span span("sat.min_ones");
   span.SetArg("vars", cnf.num_vars());
-  span.SetArg("clauses", cnf.clauses().size());
+  span.SetArg("clauses", cnf.num_clauses());
+  // Algorithm 1's CNF arrives normalized; anything else (a CQA slice
+  // with its answer's clauses, a warm component, a hand-built CNF) is
+  // normalized on the way into the working copy.
+  span.SetArg("normalized", cnf.normalized() ? 0 : 1);
   MinOnesResult result;
   result.optimal = true;
   WallTimer timer;
 
-  // The one working copy: normalized, then reduced in place.
-  Cnf work = cnf;
-  result.normalize = work.Normalize();
-  for (const auto& clause : work.clauses()) {
-    if (clause.empty()) {
+  // The one working copy, reduced in place by preprocessing.
+  WorkingCnf work =
+      cnf.normalized() ? WorkingCnf(cnf) : WorkingCnf(NormalizedCopy(cnf));
+  for (uint32_t len : work.len) {
+    if (len == 0) {
       result.satisfiable = false;
       result.optimal = true;
       return result;
     }
   }
-  const uint32_t n = work.num_vars();
+  const uint32_t n = cnf.num_vars();
 
   // Objective-aware preprocessing: unit propagation, pure-negative and
   // dominated-variable elimination. On the deletion CNFs this decides
   // most variables outright — often all of them — and shatters the
   // residual into small components.
-  std::vector<std::vector<Lit>> residual = work.TakeClauses();
   std::vector<int8_t> fixed(n, -1);
-  if (!PreprocessMinOnes(&residual, &fixed, &result)) {
+  if (!PreprocessMinOnes(&work, &fixed, &result)) {
     result.satisfiable = false;
     result.optimal = true;
     return result;
@@ -574,8 +614,11 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
 
   // Component decomposition of the residual over shared variables (or
   // one component when the ablation knob disables it).
+  const size_t m = work.num_clauses();
+  const auto clause_at = [&](size_t c) { return work.clause(c); };
   UnionFind uf(n);
-  for (const auto& clause : residual) {
+  for (size_t c = 0; c < m; ++c) {
+    const Cnf::Clause clause = work.clause(c);
     for (size_t i = 1; i < clause.size(); ++i) {
       uf.Union(LitVar(clause[0]), LitVar(clause[i]));
     }
@@ -583,16 +626,16 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
   if (!options.decompose_components && n > 0) {
     for (uint32_t v = 1; v < n; ++v) uf.Union(0, v);
   }
-  std::vector<std::vector<const std::vector<Lit>*>> comp_clauses;
+  std::vector<std::vector<uint32_t>> comp_clauses;  // clause indices
   std::vector<int> root_to_comp(n, -1);
-  for (const auto& clause : residual) {
-    if (clause.empty()) continue;  // satisfied and cleared by preprocessing
-    uint32_t root = uf.Find(LitVar(clause[0]));
+  for (size_t c = 0; c < m; ++c) {
+    if (work.len[c] == 0) continue;  // satisfied and killed by preprocessing
+    uint32_t root = uf.Find(LitVar(work.clause(c)[0]));
     if (root_to_comp[root] < 0) {
       root_to_comp[root] = static_cast<int>(comp_clauses.size());
       comp_clauses.emplace_back();
     }
-    comp_clauses[root_to_comp[root]].push_back(&clause);
+    comp_clauses[root_to_comp[root]].push_back(static_cast<uint32_t>(c));
   }
   result.num_components = static_cast<uint32_t>(comp_clauses.size());
   std::vector<std::vector<uint32_t>> comp_vars(comp_clauses.size());
@@ -637,10 +680,14 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
     CdclSolver global(global_options);
     global.EnsureVars(n);
     bool consistent = true;
-    for (const auto& clause : residual) {
-      if (!clause.empty() && !global.AddClause(clause)) consistent = false;
+    for (size_t c = 0; c < m; ++c) {
+      const Cnf::Clause clause = work.clause(c);
+      if (!clause.empty() &&
+          !global.AddClause(std::vector<Lit>(clause.begin(), clause.end()))) {
+        consistent = false;
+      }
     }
-    if (consistent) SeedGreedyCover(&global, residual, n);
+    if (consistent) SeedGreedyCover(&global, m, clause_at, n);
     SolveStatus status = consistent ? global.Solve() : SolveStatus::kUnsat;
     result.solver.Add(global.stats());
     uint64_t work_done = global.stats().work();
@@ -668,7 +715,9 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
       uint32_t count = 0;
       for (uint32_t v : comp_vars[ci]) count += global_model[v] ? 1 : 0;
       lb_touched.clear();
-      uint32_t lb = DisjointPositiveClauseBound(comp, &lb_used, &lb_touched);
+      uint32_t lb = DisjointPositiveClauseBound(
+          comp.size(), [&](size_t i) { return work.clause(comp[i]); },
+          &lb_used, &lb_touched);
       for (uint32_t v : lb_touched) lb_used[v] = 0;
       if (count <= lb) {
         // The warm incumbent is provably minimum: no solver needed.
@@ -679,18 +728,16 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
     // Remap variables into a dense sub-instance.
     std::vector<uint32_t> global_of;
     Cnf sub;
-    for (const auto* clause : comp) {
-      std::vector<Lit> lits;
-      lits.reserve(clause->size());
-      for (Lit l : *clause) {
+    for (uint32_t c : comp) {
+      for (Lit l : work.clause(c)) {
         uint32_t g = LitVar(l);
         if (local_of[g] == UINT32_MAX) {
           local_of[g] = static_cast<uint32_t>(global_of.size());
           global_of.push_back(g);
         }
-        lits.push_back(LitSign(l) ? PosLit(local_of[g]) : NegLit(local_of[g]));
+        sub.PushLit(LitSign(l) ? PosLit(local_of[g]) : NegLit(local_of[g]));
       }
-      sub.AddClause(std::move(lits));
+      sub.EndClause();
     }
     for (uint32_t g : global_of) local_of[g] = UINT32_MAX;
     std::vector<bool> warm;

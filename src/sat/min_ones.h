@@ -5,9 +5,14 @@
 //
 // The optimizer is an anytime bounded search over the incremental CDCL
 // engine (solver.h):
-//  1. normalize (dedupe + unit subsumption) into one working copy, then
-//     preprocess it with the objective in mind, cascading three rules to
-//     a fixpoint over shared CSR occurrence lists:
+//  1. copy the CNF's clause arena (pool and clause starts, two memcpys)
+//     into one working copy, normalizing it first (dedupe + unit
+//     subsumption) only when the CNF is not normalized already —
+//     Algorithm 1's builder normalizes once, before the solve. Then
+//     preprocess the copy in place with the objective in mind (a
+//     stripped literal is swapped behind the clause's live length, a
+//     killed clause gets length 0), cascading three rules to a fixpoint
+//     over shared CSR occurrence lists:
 //       - unit propagation;
 //       - pure-negative elimination: no positive occurrence left, so
 //         false costs nothing;
@@ -117,8 +122,6 @@ struct MinOnesResult {
   uint32_t residual_clauses = 0;
   /// CDCL counters aggregated across components and bound iterations.
   SolverStats solver;
-  /// What the pre-solve normalization dropped.
-  Cnf::NormalizeStats normalize;
 };
 
 /// Solves min-ones over `cnf`.

@@ -138,8 +138,8 @@ bool CdclSolver::AddClause(std::vector<Lit> lits) {
 
 void CdclSolver::AddCnf(const Cnf& cnf) {
   EnsureVars(cnf.num_vars());
-  for (const auto& clause : cnf.clauses()) {
-    AddClause(clause);
+  for (const Cnf::Clause clause : cnf.clauses()) {
+    AddClause(std::vector<Lit>(clause.begin(), clause.end()));
   }
 }
 

@@ -18,6 +18,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "repair/repair_engine.h"
 #include "sat/min_ones.h"
 #include "tests/test_util.h"
 
@@ -124,6 +125,49 @@ TEST_F(TraceTest, MinOnesSpanExplainsThePreprocessing) {
   EXPECT_GE(r.preprocess_rounds, 1u);
   EXPECT_EQ(args["residual_vars"], 3u);
   EXPECT_EQ(args["components"], 1u);
+  EXPECT_EQ(args["normalized"], 1u);  // a hand-built CNF is normalized here
+}
+
+std::map<std::string, uint64_t> ArgsOf(const TraceEvent& e) {
+  std::map<std::string, uint64_t> args;
+  for (int i = 0; i < kMaxSpanArgs; ++i) {
+    if (e.arg_keys[i] != nullptr) args[e.arg_keys[i]] = e.arg_vals[i];
+  }
+  return args;
+}
+
+TEST_F(TraceTest, ProcessProvSpanCountsTheNormalizationOnce) {
+  // The first two rules both emit the unit clause (v_A1), and that unit
+  // subsumes the third rule's clause (v_B1 ∨ v_A1): one clause is left.
+  Database db;
+  uint32_t a = db.AddRelation(MakeIntSchema("A", {"x"}));
+  uint32_t b = db.AddRelation(MakeIntSchema("B", {"x"}));
+  db.Insert(a, {Value(int64_t{1})});
+  db.Insert(b, {Value(int64_t{1})});
+  Program program = MustParseProgram(
+      "~A(x) :- A(x).\n"
+      "~A(x) :- A(x), A(x).\n"
+      "~B(x) :- B(x), A(x).\n");
+  StatusOr<RepairEngine> engine = RepairEngine::Create(&db, std::move(program));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  RepairOutcome out = engine->Execute(RepairRequest{"independent"});
+  ASSERT_TRUE(out.status.ok());
+  EXPECT_EQ(out.result.stats.cnf_dup_clauses, 1u);
+  EXPECT_EQ(out.result.stats.cnf_subsumed_clauses, 1u);
+  std::vector<TraceEvent> events = Trace::Collect();
+  std::vector<TraceEvent> prov = EventsNamed(events, "repair.process_prov");
+  ASSERT_EQ(prov.size(), 1u);
+  std::map<std::string, uint64_t> args = ArgsOf(prov[0]);
+  EXPECT_EQ(args["clauses"], out.result.stats.cnf_clauses);
+  EXPECT_EQ(args["clauses"], 1u);
+  EXPECT_EQ(args["dup_clauses"], 1u);
+  EXPECT_EQ(args["subsumed_clauses"], 1u);
+  // Min-Ones receives the builder's normalized CNF and does not
+  // normalize it again.
+  std::vector<TraceEvent> solve = EventsNamed(events, "sat.min_ones");
+  ASSERT_EQ(solve.size(), 1u);
+  EXPECT_EQ(ArgsOf(solve[0])["normalized"], 0u);
+  EXPECT_EQ(ArgsOf(solve[0])["clauses"], 1u);
 }
 
 TEST_F(TraceTest, EnumerateRuleSpanCountsJoinWork) {

@@ -103,6 +103,42 @@ TEST(DeletionCnfBuilderTest, VarLookup) {
   EXPECT_EQ(builder.TupleOfVar(v), t);
 }
 
+TEST(DeletionCnfBuilderTest, AssignmentClauseIsCanonicalInPlace) {
+  Database db;
+  const uint32_t a = db.AddRelation(MakeIntSchema("A", {"x"}));
+  const uint32_t b = db.AddRelation(MakeIntSchema("B", {"x"}));
+  const uint32_t c = db.AddRelation(MakeIntSchema("C", {"x"}));
+  for (uint32_t r : {a, b, c}) db.Insert(r, {Value(int64_t{1})});
+  Program p = MustParseProgram(
+      "~C(x) :- C(x), ~B(y), A(z), A(w).\n"
+      "~C(x) :- C(x), ~C(y), A(z), A(w).\n");
+  ASSERT_TRUE(ResolveProgram(&p, db).ok());
+  const TupleId ta{a, 0}, tb{b, 0}, tc{c, 0};
+  DeletionCnfBuilder builder;
+  // Variables numbered against body order: A = 0, B = 1, C = 2.
+  builder.VarOf(ta);
+  builder.VarOf(tb);
+  builder.VarOf(tc);
+  const TupleId body[] = {tc, tb, ta, ta};
+  builder.AddAssignment(p.rules()[0], body);
+  ASSERT_EQ(builder.cnf().num_clauses(), 1u);
+  const Cnf::Clause clause = builder.cnf().clauses()[0];
+  // Sorted by variable; base atoms positive, the delta atom negative;
+  // the repeated A once.
+  EXPECT_EQ(std::vector<Lit>(clause.begin(), clause.end()),
+            (std::vector<Lit>{PosLit(0), NegLit(1), PosLit(2)}));
+  // C both present and deleted: a tautology, and the pool is left as it
+  // was.
+  const std::vector<Lit> pool = builder.cnf().literals();
+  const TupleId vacuous[] = {tc, tc, ta, ta};
+  builder.AddAssignment(p.rules()[1], vacuous);
+  EXPECT_EQ(builder.cnf().num_clauses(), 1u);
+  EXPECT_EQ(builder.cnf().literals(), pool);
+  EXPECT_FALSE(builder.cnf().normalized());
+  builder.Normalize();
+  EXPECT_TRUE(builder.cnf().normalized());
+}
+
 TEST(DeletionCnfBuilderTest, RenderShowsPolarities) {
   ProvFixture f;
   DeletionCnfBuilder builder;

@@ -66,6 +66,137 @@ TEST(CnfTest, IsSatisfiedBy) {
   EXPECT_FALSE(cnf.IsSatisfiedBy({false, true}));
 }
 
+std::vector<Lit> Lits(Cnf::Clause clause) {
+  return std::vector<Lit>(clause.begin(), clause.end());
+}
+
+TEST(CnfArenaTest, ClauseContentsSurviveLaterAdds) {
+  Cnf cnf;
+  cnf.AddClause({NegLit(3), PosLit(1)});
+  cnf.AddClause({PosLit(2)});
+  // Enough later clauses to reallocate the pool several times: a view
+  // taken now is invalidated, but reading the clause again gives the
+  // same literals in canonical order.
+  for (uint32_t i = 0; i < 1000; ++i) {
+    cnf.AddClause({PosLit(i + 4), NegLit(i + 5), PosLit(i + 6)});
+  }
+  ASSERT_EQ(cnf.num_clauses(), 1002u);
+  EXPECT_EQ(Lits(cnf.clauses()[0]), (std::vector<Lit>{PosLit(1), NegLit(3)}));
+  EXPECT_EQ(Lits(cnf.clauses()[1]), (std::vector<Lit>{PosLit(2)}));
+  EXPECT_EQ(Lits(cnf.clauses()[1001]),
+            (std::vector<Lit>{PosLit(1003), NegLit(1004), PosLit(1005)}));
+  // The range iterates in clause order and agrees with indexing.
+  size_t i = 0;
+  for (const auto& clause : cnf.clauses()) {
+    EXPECT_EQ(Lits(clause), Lits(cnf.clauses()[i])) << i;
+    ++i;
+  }
+  EXPECT_EQ(i, cnf.num_clauses());
+}
+
+TEST(CnfArenaTest, CopyIsIndependentOfItsSource) {
+  Cnf source;
+  source.AddClause({PosLit(0), PosLit(1)});
+  source.AddClause({NegLit(2)});
+  Cnf copy = source;
+  copy.AddClause({PosLit(4)});
+  source.AddClause({PosLit(0), PosLit(1)});
+  source.Normalize();
+  ASSERT_EQ(copy.num_clauses(), 3u);
+  EXPECT_EQ(copy.num_vars(), 5u);
+  EXPECT_EQ(Lits(copy.clauses()[0]), (std::vector<Lit>{PosLit(0), PosLit(1)}));
+  EXPECT_EQ(Lits(copy.clauses()[2]), (std::vector<Lit>{PosLit(4)}));
+  EXPECT_FALSE(copy.normalized());
+  ASSERT_EQ(source.num_clauses(), 2u);  // the duplicate was dropped
+  EXPECT_EQ(source.num_vars(), 3u);
+  EXPECT_TRUE(source.normalized());
+}
+
+TEST(CnfArenaTest, NormalizeKeepsFirstDuplicateAndSurvivorOrder) {
+  Cnf cnf;
+  cnf.AddClause({PosLit(5), PosLit(6)});                // 0 kept
+  cnf.AddClause({PosLit(1), NegLit(2)});                // 1 kept (first)
+  cnf.AddClause({PosLit(3)});                           // 2 kept (unit)
+  cnf.AddClause({NegLit(2), PosLit(1)});                // 3 duplicate of 1
+  cnf.AddClause({PosLit(3), PosLit(4)});                // 4 unit-subsumed
+  cnf.AddClause({PosLit(6), PosLit(5)});                // 5 duplicate of 0
+  cnf.AddClause({NegLit(3), PosLit(7)});                // 6 kept
+  cnf.AddClause({PosLit(3)});                           // 7 duplicate of 2
+  Cnf::NormalizeStats stats = cnf.Normalize();
+  EXPECT_EQ(stats.duplicate_clauses, 3u);
+  EXPECT_EQ(stats.unit_subsumed_clauses, 1u);
+  ASSERT_EQ(cnf.num_clauses(), 4u);
+  EXPECT_EQ(Lits(cnf.clauses()[0]), (std::vector<Lit>{PosLit(5), PosLit(6)}));
+  EXPECT_EQ(Lits(cnf.clauses()[1]), (std::vector<Lit>{PosLit(1), NegLit(2)}));
+  EXPECT_EQ(Lits(cnf.clauses()[2]), (std::vector<Lit>{PosLit(3)}));
+  EXPECT_EQ(Lits(cnf.clauses()[3]), (std::vector<Lit>{NegLit(3), PosLit(7)}));
+  EXPECT_EQ(cnf.literals().size(), 7u);  // the pool was compacted
+  EXPECT_EQ(cnf.starts(), (std::vector<uint32_t>{0, 2, 4, 5, 7}));
+  // A second pass finds nothing left to drop.
+  stats = cnf.Normalize();
+  EXPECT_EQ(stats.duplicate_clauses + stats.unit_subsumed_clauses, 0u);
+  EXPECT_EQ(cnf.num_clauses(), 4u);
+}
+
+TEST(CnfArenaTest, NormalizedFlagIsClearedByAKeptClause) {
+  Cnf cnf;
+  EXPECT_FALSE(cnf.normalized());
+  cnf.AddClause({PosLit(0), PosLit(1)});
+  cnf.Normalize();
+  EXPECT_TRUE(cnf.normalized());
+  EXPECT_TRUE(Cnf(cnf).normalized());  // a copy keeps the flag
+  EXPECT_FALSE(cnf.AddClause({PosLit(2), NegLit(2)}));  // tautology
+  EXPECT_TRUE(cnf.normalized());  // nothing was kept
+  EXPECT_TRUE(cnf.AddClause({PosLit(0), PosLit(1)}));
+  EXPECT_FALSE(cnf.normalized());
+  cnf.Normalize();
+  EXPECT_TRUE(cnf.normalized());
+  cnf.PushLit(NegLit(1));
+  EXPECT_TRUE(cnf.EndClause());
+  EXPECT_FALSE(cnf.normalized());
+}
+
+TEST(CnfArenaTest, PushLitEndClauseMatchesAddClause) {
+  Cnf built;
+  for (Lit l : {PosLit(4), NegLit(1), PosLit(4), PosLit(2)}) built.PushLit(l);
+  EXPECT_TRUE(built.EndClause());
+  for (Lit l : {PosLit(3), NegLit(3)}) built.PushLit(l);
+  EXPECT_FALSE(built.EndClause());  // tautology: nothing stays in the pool
+  built.PushLit(PosLit(0));
+  EXPECT_TRUE(built.EndClause());
+  Cnf added;
+  added.AddClause({PosLit(4), NegLit(1), PosLit(4), PosLit(2)});
+  added.AddClause({PosLit(3), NegLit(3)});
+  added.AddClause({PosLit(0)});
+  EXPECT_EQ(built.literals(), added.literals());
+  EXPECT_EQ(built.starts(), added.starts());
+  EXPECT_EQ(built.num_vars(), added.num_vars());
+  EXPECT_EQ(Lits(built.clauses()[0]),
+            (std::vector<Lit>{NegLit(1), PosLit(2), PosLit(4)}));
+}
+
+TEST(MinOnesTest, NormalizedInputGivesTheSameResult) {
+  // Min-Ones normalizes its working copy only when the input is not
+  // normalized already; both routes must reach the same model.
+  Cnf cnf;
+  for (uint32_t i = 0; i < 6; ++i) {
+    cnf.AddClause({PosLit(i), PosLit(i + 1)});
+    cnf.AddClause({PosLit(i + 1), PosLit(i)});  // duplicate
+  }
+  cnf.AddClause({PosLit(2)});
+  cnf.AddClause({PosLit(2), NegLit(7)});  // unit-subsumed
+  Cnf normalized = cnf;
+  normalized.Normalize();
+  MinOnesResult raw = MinOnesSat(cnf);
+  MinOnesResult pre = MinOnesSat(normalized);
+  ASSERT_TRUE(raw.satisfiable);
+  ASSERT_TRUE(pre.satisfiable);
+  EXPECT_TRUE(raw.optimal);
+  EXPECT_EQ(raw.num_true, pre.num_true);
+  EXPECT_EQ(raw.model, pre.model);
+  EXPECT_TRUE(cnf.IsSatisfiedBy(pre.model));
+}
+
 TEST(SolverTest, TrivialSatAndUnsat) {
   Cnf sat;
   sat.AddClause({PosLit(0)});
