@@ -4,12 +4,14 @@
 // updates interleaved with repair and CQA requests over MAS program 15
 // (the paper's widest join: a 5-way rule whose only deletable relation
 // is Cite, so the CNF decomposes into per-tuple components). Expected
-// shape: after warmup the warm engine serves each request several times
-// (>= 3x at DR_SCALE=1) faster than the cold path — a patch re-grounds
-// only the join bindings pivoted on the delta, the Min-Ones pass
-// re-solves only the touched components, and CQA re-validates only the
-// answers whose provenance cone intersects the delta, where cold
-// re-runs the full join per request.
+// shape: after warmup the warm engine serves each request faster than
+// the cold path — a delta re-grounds only the join bindings pivoted on
+// it, so the warm independent pass skips Algorithm 1's Eval phase and
+// encodes and solves the maintained ground program; end replays its
+// cached fixpoint; and CQA re-validates only the answers whose
+// provenance cone intersects the delta, where cold re-runs the full
+// join per request. The acceptance bar asks >= 3x for the independent
+// repair at DR_SCALE=1.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -28,8 +30,8 @@ namespace deltarepair {
 namespace {
 
 // Steady state begins once the update stream has cycled its whole
-// working set (every component content key and verdict signature seen
-// once); everything before that is warmup.
+// working set (every verdict signature seen once); everything before
+// that is warmup.
 constexpr int kWarmupSteps = 10;
 constexpr int kSteps = 16;
 
@@ -72,8 +74,8 @@ int Main() {
   // citations of the hub publication (inside the CQA answer's
   // provenance cone), half elsewhere. The instance stays in steady
   // state: every step realizes a non-empty delta, and the stream
-  // revisits earlier instance states, which is exactly what the
-  // content-keyed component and verdict caches are for.
+  // revisits earlier instance states, which the content-keyed verdict
+  // cache can exploit.
   uint32_t cite =
       static_cast<uint32_t>(mas.db.RelationIndex(kMasCite));
   std::vector<Tuple> cycle, hub_cites, other_cites;
@@ -207,17 +209,12 @@ int Main() {
 
   IncrementalEngine::Stats stats = warm->stats();
   std::printf("warm engine: %llu syncs (%llu incremental, %llu cold"
-              " rebuilds, %llu empty patches), %llu/%llu min-ones"
-              " components reused, %llu/%llu verdict cache hits\n",
+              " rebuilds, %llu empty patches), %llu/%llu verdict cache"
+              " hits\n",
               static_cast<unsigned long long>(stats.syncs),
               static_cast<unsigned long long>(stats.incremental_syncs),
               static_cast<unsigned long long>(stats.cold_rebuilds),
               static_cast<unsigned long long>(stats.empty_patches),
-              static_cast<unsigned long long>(
-                  stats.minones_components_reused),
-              static_cast<unsigned long long>(
-                  stats.minones_components_reused +
-                  stats.minones_components_solved),
               static_cast<unsigned long long>(stats.verdict_cache_hits),
               static_cast<unsigned long long>(stats.verdict_cache_hits +
                                               stats.verdict_cache_misses));
@@ -225,8 +222,6 @@ int Main() {
       .Metric("incremental_syncs",
               static_cast<int64_t>(stats.incremental_syncs))
       .Metric("cold_rebuilds", static_cast<int64_t>(stats.cold_rebuilds))
-      .Metric("minones_components_reused",
-              static_cast<int64_t>(stats.minones_components_reused))
       .Metric("verdict_cache_hits",
               static_cast<int64_t>(stats.verdict_cache_hits));
 

@@ -165,7 +165,7 @@ class EnumeratedRepairSpace : public RepairSpace {
 /// run through SlicedJudge (cqa/entailment.h) on the answer's memoized
 /// cone slice, on fresh throwaway solvers — thread-safe and
 /// deterministic. The cold space owns a model built for the request;
-/// the warm engine passes in the model of its current CNF epoch.
+/// the warm engine passes in the model of its current ground epoch.
 class SymbolicRepairSpace : public RepairSpace {
  public:
   /// Builds a fresh model over the view's current state. Reads ctx for

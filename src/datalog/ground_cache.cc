@@ -21,7 +21,7 @@ uint64_t GroundProgramCache::KeyOf(const GroundRule& gr) {
   return h;
 }
 
-void GroundProgramCache::Record(const GroundAssignment& ga, Patch* patch) {
+bool GroundProgramCache::Record(const GroundAssignment& ga) {
   GroundRule gr;
   gr.rule_index = ga.rule_index;
   gr.head = ga.head;
@@ -31,14 +31,12 @@ void GroundProgramCache::Record(const GroundAssignment& ga, Patch* patch) {
   for (uint32_t id : chain) {
     const GroundRule& have = rules_[id];
     if (have.rule_index != gr.rule_index || have.body != gr.body) continue;
-    if (!active_[id]) {
-      // Revival: the same assignment became valid again
-      // (delete-then-reinsert). The id is reused in place.
-      active_[id] = 1;
-      ++num_active_;
-      if (patch != nullptr) patch->added.push_back(id);
-    }
-    return;  // already active: duplicate pivot emission
+    if (active_[id]) return false;  // duplicate pivot emission
+    // Revival: the same assignment became valid again
+    // (delete-then-reinsert). The id is reused in place.
+    active_[id] = 1;
+    ++num_active_;
+    return true;
   }
   const uint32_t id = static_cast<uint32_t>(rules_.size());
   chain.push_back(id);
@@ -46,7 +44,7 @@ void GroundProgramCache::Record(const GroundAssignment& ga, Patch* patch) {
   rules_.push_back(std::move(gr));
   active_.push_back(1);
   ++num_active_;
-  if (patch != nullptr) patch->added.push_back(id);
+  return true;
 }
 
 bool GroundProgramCache::Build(InstanceView* view, const Program& program,
@@ -63,7 +61,7 @@ bool GroundProgramCache::Build(InstanceView* view, const Program& program,
         program.rules()[i], static_cast<int>(i), BaseMatch::kLive,
         DeltaMatch::kHypothetical, [&](const GroundAssignment& ga) {
           if (ctx != nullptr && ctx->Tick()) return false;
-          Record(ga, nullptr);
+          Record(ga);
           return true;
         });
     if (!ok) return false;
@@ -73,10 +71,9 @@ bool GroundProgramCache::Build(InstanceView* view, const Program& program,
 }
 
 bool GroundProgramCache::ApplyDelta(InstanceView* view, const Program& program,
-                                    const Delta& delta, Patch* patch,
+                                    const Delta& delta, bool* changed,
                                     ExecContext* ctx) {
-  patch->added.clear();
-  patch->retracted.clear();
+  *changed = false;
   if (!valid_) return false;
 
   // Retract every ground rule whose body binds a deleted row.
@@ -88,7 +85,7 @@ bool GroundProgramCache::ApplyDelta(InstanceView* view, const Program& program,
         if (!active_[id]) continue;
         active_[id] = 0;
         --num_active_;
-        patch->retracted.push_back(id);
+        *changed = true;
       }
     }
   }
@@ -111,7 +108,7 @@ bool GroundProgramCache::ApplyDelta(InstanceView* view, const Program& program,
           DeltaMatch::kHypothetical, rows_by_relation,
           [&](const GroundAssignment& ga) {
             if (ctx != nullptr && ctx->Tick()) return false;
-            Record(ga, patch);
+            *changed |= Record(ga);
             return true;
           });
       if (!ok) {
@@ -121,14 +118,6 @@ bool GroundProgramCache::ApplyDelta(InstanceView* view, const Program& program,
     }
   }
   return true;
-}
-
-std::vector<uint32_t> GroundProgramCache::ActiveIds() const {
-  std::vector<uint32_t> out;
-  out.reserve(num_active_);
-  for (uint32_t id = 0; id < rules_.size(); ++id)
-    if (active_[id]) out.push_back(id);
-  return out;
 }
 
 }  // namespace deltarepair

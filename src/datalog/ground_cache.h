@@ -15,8 +15,8 @@
 // inserting rows can only create ground rules binding at least one of
 // them (enumerated by pivoted delta grounding). Retracted entries keep
 // their id and are revived in place when the same assignment becomes
-// valid again (delete-then-reinsert), so downstream layers can key
-// per-ground-rule state (e.g. stability-CNF clauses) by id.
+// valid again (delete-then-reinsert), so a stream that revisits
+// instance states does not grow the rule store.
 #ifndef DELTAREPAIR_DATALOG_GROUND_CACHE_H_
 #define DELTAREPAIR_DATALOG_GROUND_CACHE_H_
 
@@ -41,24 +41,18 @@ class GroundProgramCache {
     std::vector<TupleId> body;
   };
 
-  /// The ground-program patch produced by one delta: ids of ground rules
-  /// added (or revived) and ids retracted. An empty patch certifies that
-  /// no semantics' repair outcome changed.
-  struct Patch {
-    std::vector<uint32_t> added;
-    std::vector<uint32_t> retracted;
-    bool empty() const { return added.empty() && retracted.empty(); }
-  };
-
   /// Full hypothetical grounding of `program` over `view`'s live set.
   /// Returns false (cache invalid) if `ctx` stopped the enumeration.
   bool Build(InstanceView* view, const Program& program, ExecContext* ctx);
 
   /// Advances the cache across `delta`. `view` must already reflect the
-  /// post-delta live set (InstanceView::ApplyDelta). Returns false (cache
-  /// invalid) if interrupted; the patch is valid only on success.
+  /// post-delta live set (InstanceView::ApplyDelta). `*changed` tells
+  /// whether any ground rule was added, revived or retracted; an
+  /// unchanged ground program certifies that no semantics' repair outcome
+  /// changed. Returns false (cache invalid) if interrupted; `*changed` is
+  /// valid only on success.
   bool ApplyDelta(InstanceView* view, const Program& program,
-                  const Delta& delta, Patch* patch, ExecContext* ctx);
+                  const Delta& delta, bool* changed, ExecContext* ctx);
 
   bool valid() const { return valid_; }
   size_t num_rules() const { return rules_.size(); }
@@ -66,14 +60,11 @@ class GroundProgramCache {
   bool active(uint32_t id) const { return active_[id] != 0; }
   const GroundRule& rule(uint32_t id) const { return rules_[id]; }
 
-  /// Ids of all currently active ground rules (ascending).
-  std::vector<uint32_t> ActiveIds() const;
-
  private:
   static uint64_t KeyOf(const GroundRule& gr);
-  // Records a freshly enumerated assignment; appends to patch->added on
-  // a new id or an in-place revival (nullptr patch during Build).
-  void Record(const GroundAssignment& ga, Patch* patch);
+  // Records a freshly enumerated assignment; true on a new id or an
+  // in-place revival, false when the assignment was already active.
+  bool Record(const GroundAssignment& ga);
 
   bool valid_ = false;
   std::vector<GroundRule> rules_;

@@ -61,22 +61,32 @@ bool SolveStability(InstanceView* view, const Program& program,
     stats->optimal = false;
     return false;
   }
+  return ProcessProvAndSolve(
+      [&] {
+        const TupleId* body = stored_bodies.data();
+        for (const Rule* rule : stored_rules) {
+          if (ctx->Tick()) break;
+          builder->AddAssignment(*rule, body);
+          body += rule->body.size();
+        }
+        // Encoded: free the raw provenance before Normalize and Min-Ones
+        // allocate their own working memory.
+        std::vector<const Rule*>().swap(stored_rules);
+        std::vector<TupleId>().swap(stored_bodies);
+      },
+      options, ctx, builder, solved, stats);
+}
 
+bool ProcessProvAndSolve(const std::function<void()>& encode,
+                         const MinOnesOptions& options, ExecContext* ctx,
+                         DeletionCnfBuilder* builder, MinOnesResult* solved,
+                         RepairStats* stats) {
   // Phase 2 (Process Prov): convert the stored provenance into the negated
   // CNF over deletion variables (lines 2-4), normalized once here.
   {
     Span span("repair.process_prov");
     ScopedTimer t(&stats->process_prov_seconds);
-    const TupleId* body = stored_bodies.data();
-    for (const Rule* rule : stored_rules) {
-      if (ctx->Tick()) break;
-      builder->AddAssignment(*rule, body);
-      body += rule->body.size();
-    }
-    // Encoded: free the raw provenance before Normalize and Min-Ones
-    // allocate their own working memory.
-    std::vector<const Rule*>().swap(stored_rules);
-    std::vector<TupleId>().swap(stored_bodies);
+    encode();
     if (!ctx->stopped()) builder->Normalize();
     span.SetArg("clauses", builder->cnf().num_clauses());
     span.SetArg("dup_clauses", builder->normalize_stats().duplicate_clauses);
@@ -112,6 +122,21 @@ bool SolveStability(InstanceView* view, const Program& program,
   return true;
 }
 
+std::shared_ptr<const StabilityModel> MakeStabilityModel(
+    std::shared_ptr<DeletionCnfBuilder> builder,
+    const std::vector<bool>& min_model) {
+  std::vector<TupleId> tuples(builder->num_vars());
+  for (uint32_t v = 0; v < tuples.size(); ++v) {
+    tuples[v] = builder->TupleOfVar(v);
+  }
+  // The model takes the clauses; the builder stays behind only as the
+  // tuple -> variable map.
+  Cnf cnf = std::move(builder->mutable_cnf());
+  return std::make_shared<const StabilityModel>(
+      std::move(cnf), std::move(tuples), min_model,
+      [builder](TupleId t) { return builder->FindVar(t); });
+}
+
 std::shared_ptr<const StabilityModel> BuildStabilityModel(
     InstanceView* view, const Program& program,
     const MinOnesOptions& options, ExecContext* ctx, RepairStats* stats) {
@@ -123,16 +148,7 @@ std::shared_ptr<const StabilityModel> BuildStabilityModel(
     stats->optimal = false;
     return nullptr;
   }
-  std::vector<TupleId> tuples(builder->num_vars());
-  for (uint32_t v = 0; v < tuples.size(); ++v) {
-    tuples[v] = builder->TupleOfVar(v);
-  }
-  // The model takes the clauses; the builder stays behind only as the
-  // tuple -> variable map.
-  Cnf cnf = std::move(builder->mutable_cnf());
-  return std::make_shared<const StabilityModel>(
-      std::move(cnf), std::move(tuples), solved.model,
-      [builder](TupleId t) { return builder->FindVar(t); });
+  return MakeStabilityModel(std::move(builder), solved.model);
 }
 
 }  // namespace deltarepair

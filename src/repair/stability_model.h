@@ -4,12 +4,13 @@
 // variable, a proven minimum model, and the minimum-repair cone
 // decomposition over them (provenance/cone.h).
 //
-// Two producers build it:
-//  * cold — BuildStabilityModel runs Algorithm 1's Eval, Process Prov
-//    and Solve phases (SolveStability, which IndependentSemantics::Run
-//    runs too) over a view;
-//  * warm — IncrementalEngine assembles one per CNF epoch from
-//    IncrementalDeletionCnf's active clauses and its warm optimum.
+// Two producers build it, and both run the same Process Prov and Solve
+// phases (ProcessProvAndSolve) and make the model the same way
+// (MakeStabilityModel):
+//  * cold — BuildStabilityModel runs Algorithm 1's Eval phase over a view
+//    first (SolveStability, which IndependentSemantics::Run runs too);
+//  * warm — IncrementalEngine encodes the ground program it maintains
+//    (datalog/ground_cache.h), once per ground epoch.
 //
 // A model is immutable after construction, except for the slicer's
 // memoized slices (built on demand, thread-safe), so one model serves
@@ -71,6 +72,25 @@ bool SolveStability(InstanceView* view, const Program& program,
                     const MinOnesOptions& options, ExecContext* ctx,
                     DeletionCnfBuilder* builder, MinOnesResult* solved,
                     RepairStats* stats);
+
+/// Algorithm 1's Process Prov and Solve phases: `encode` feeds every
+/// ground assignment to `builder` (ticking ctx), the CNF is normalized
+/// once and its shape counters land in `stats`, and `solved` receives the
+/// Min-Ones result under the remaining ctx budget and cancel flag, with
+/// the phase times and solver counters in `stats`. Returns false, with
+/// `solved` untouched and stats->optimal false, when the budget or
+/// cancellation stopped Process Prov: the CNF is then incomplete.
+bool ProcessProvAndSolve(const std::function<void()>& encode,
+                         const MinOnesOptions& options, ExecContext* ctx,
+                         DeletionCnfBuilder* builder, MinOnesResult* solved,
+                         RepairStats* stats);
+
+/// The model over `builder`'s CNF and a proven minimum model of it. The
+/// model takes the clauses; the builder keeps its variable maps and stays
+/// alive, shared, as the model's tuple -> variable lookup.
+std::shared_ptr<const StabilityModel> MakeStabilityModel(
+    std::shared_ptr<DeletionCnfBuilder> builder,
+    const std::vector<bool>& min_model);
 
 /// The cold producer: SolveStability, then the model over its optimum.
 /// nullptr when the run was interrupted or the optimum is unproven —

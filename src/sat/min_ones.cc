@@ -581,8 +581,8 @@ MinOnesResult MinOnesSat(const Cnf& cnf, const MinOnesOptions& options) {
   Span span("sat.min_ones");
   span.SetArg("vars", cnf.num_vars());
   span.SetArg("clauses", cnf.num_clauses());
-  // Algorithm 1's CNF arrives normalized; anything else (a CQA slice
-  // with its answer's clauses, a warm component, a hand-built CNF) is
+  // Algorithm 1's CNF, cold or warm, arrives normalized; anything else
+  // (a CQA slice with its answer's clauses, a hand-built CNF) is
   // normalized on the way into the working copy.
   span.SetArg("normalized", cnf.normalized() ? 0 : 1);
   MinOnesResult result;

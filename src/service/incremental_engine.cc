@@ -1,7 +1,6 @@
 #include "service/incremental_engine.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/timer.h"
 #include "obs/metrics.h"
@@ -12,6 +11,9 @@
 namespace deltarepair {
 
 namespace {
+
+// Per-answer CQA verdict cache entries kept before a full clear.
+constexpr size_t kMaxVerdictCacheEntries = size_t{1} << 20;
 
 std::string VerdictCacheKey(const CqaRequest& request, const Tuple& values) {
   std::string key = request.semantics;
@@ -66,8 +68,6 @@ void IncrementalEngine::ColdRebuildLocked() {
   warm_version_ = db_->version();
   ExecContext ctx;  // unbudgeted: a truncated warm build helps nobody
   ground_cache_.Build(&view_, program(), &ctx);
-  cnf_.Build(program(), ground_cache_);
-  minones_valid_ = false;
   fixpoint_cache_.Clear();
   ++ground_epoch_;
   stage_epoch_ = UINT64_MAX;
@@ -104,16 +104,16 @@ void IncrementalEngine::SyncLocked() {
   }
 
   view_.ApplyDelta(delta);
-  GroundProgramCache::Patch patch;
+  bool changed = false;
   ExecContext ctx;  // unbudgeted maintenance (see ColdRebuildLocked)
-  if (!ground_cache_.ApplyDelta(&view_, program(), delta, &patch, &ctx)) {
+  if (!ground_cache_.ApplyDelta(&view_, program(), delta, &changed, &ctx)) {
     ColdRebuildLocked();
     return;
   }
   ++stats_.incremental_syncs;
   warm_version_ = current;
 
-  if (patch.empty()) {
+  if (!changed) {
     // The hypothetical ground program is untouched: every semantics'
     // repair outcome — and with it all cached solver/fixpoint/result
     // state — is certified unchanged (CQA verdicts still see the new
@@ -122,8 +122,6 @@ void IncrementalEngine::SyncLocked() {
     return;
   }
 
-  cnf_.ApplyPatch(program(), ground_cache_, patch);
-  minones_valid_ = false;
   ++ground_epoch_;
 
   if (fixpoint_cache_.valid) {
@@ -142,45 +140,32 @@ void IncrementalEngine::SyncLocked() {
   }
 }
 
-void IncrementalEngine::EnsureWarmSolveLocked(const MinOnesOptions& base,
-                                              ExecContext* ctx) {
-  if (minones_valid_ && cnf_.SolvedAtCurrentEpoch()) return;
-  MinOnesOptions options = base;
-  const double remaining = ctx->RemainingSeconds();
-  if (!std::isinf(remaining)) {
-    options.time_limit_seconds =
-        std::min(options.time_limit_seconds, std::max(remaining, 1e-9));
-  }
-  if (ctx->cancel_token() != nullptr) {
-    options.cancel = ctx->cancel_token()->flag();
-  }
-  last_minones_ = cnf_.SolveMinOnes(options);
-  stats_.minones_components_reused += last_minones_.reused_components;
-  stats_.minones_components_solved += last_minones_.solved_components;
-  // A truncated (non-optimal) pass is never reused: the next request
-  // retries with its own budget.
-  minones_valid_ = last_minones_.satisfiable && last_minones_.optimal &&
-                   cnf_.SolvedAtCurrentEpoch();
-}
-
-void IncrementalEngine::EnsureWarmModelLocked() {
-  if (warm_model_ != nullptr && warm_model_epoch_ == cnf_.epoch()) return;
-  std::vector<TupleId> tuples;
-  Cnf cnf = cnf_.ExtractActiveCnf(&tuples);
-  std::vector<bool> min_model(tuples.size(), false);
-  for (const TupleId& t : last_minones_.deleted) {
-    min_model[static_cast<size_t>(cnf_.FindVar(t))] = true;
-  }
-  // Variables only append, so the engine's own map inverts this epoch's
-  // tuples too; a tuple that gained a variable later has none here.
-  const int64_t num_vars = static_cast<int64_t>(tuples.size());
-  warm_model_ = std::make_shared<const StabilityModel>(
-      std::move(cnf), std::move(tuples), min_model,
-      [cnf = &cnf_, num_vars](TupleId t) {
-        const int64_t v = cnf->FindVar(t);
-        return v < num_vars ? v : -1;
-      });
-  warm_model_epoch_ = cnf_.epoch();
+bool IncrementalEngine::EnsureWarmSolveLocked(const MinOnesOptions& options,
+                                              ExecContext* ctx,
+                                              RepairStats* stats) {
+  if (solved_epoch_ == ground_epoch_) return true;
+  // The cold pipeline's Process Prov and Solve over the cached ground
+  // program, fed in the flat (rule, body) form SolveStability stores.
+  auto builder = std::make_shared<DeletionCnfBuilder>();
+  MinOnesResult solved;
+  const bool complete = ProcessProvAndSolve(
+      [&] {
+        for (uint32_t id = 0; id < ground_cache_.num_rules(); ++id) {
+          if (!ground_cache_.active(id)) continue;
+          if (ctx->Tick()) break;
+          const GroundProgramCache::GroundRule& gr = ground_cache_.rule(id);
+          builder->AddAssignment(program().rules()[gr.rule_index],
+                                 gr.body.data());
+        }
+      },
+      options, ctx, builder.get(), &solved, stats);
+  if (!complete || !solved.satisfiable || !solved.optimal) return false;
+  warm_builder_ = std::move(builder);
+  warm_solved_ = std::move(solved);
+  warm_solve_stats_ = *stats;
+  warm_model_.reset();
+  solved_epoch_ = ground_epoch_;
+  return true;
 }
 
 RepairOutcome IncrementalEngine::ExecuteRepair(const RepairRequest& request) {
@@ -292,16 +277,28 @@ RepairOutcome IncrementalEngine::IndependentRepairLocked(
     const RepairRequest& request) {
   WallTimer total;
   ExecContext ctx(request.options);
-  EnsureWarmSolveLocked(request.options.independent.min_ones, &ctx);
-  if (!minones_valid_) {
+  RepairOutcome out;
+  RepairStats& stats = out.result.stats;
+  // Phase times and solver counters cover this request's own work: a
+  // request that reuses the epoch's solve reports none.
+  if (!EnsureWarmSolveLocked(request.options.independent.min_ones, &ctx,
+                             &stats)) {
     ++stats_.cold_repairs;
     return cold_->ExecuteOnSnapshot(request);
   }
-  RepairOutcome out;
   out.result.semantics = SemanticsKind::kIndependent;
-  out.result.deleted = SortedCopy(last_minones_.deleted);
-  out.result.stats.optimal = true;
-  out.result.stats.total_seconds = total.ElapsedSeconds();
+  for (uint32_t v = 0; v < warm_builder_->num_vars(); ++v) {
+    if (warm_solved_.model[v]) {
+      out.result.deleted.push_back(warm_builder_->TupleOfVar(v));
+    }
+  }
+  CanonicalizeResult(&out.result);
+  stats.cnf_vars = warm_solve_stats_.cnf_vars;
+  stats.cnf_clauses = warm_solve_stats_.cnf_clauses;
+  stats.cnf_dup_clauses = warm_solve_stats_.cnf_dup_clauses;
+  stats.cnf_subsumed_clauses = warm_solve_stats_.cnf_subsumed_clauses;
+  stats.optimal = true;
+  stats.total_seconds = total.ElapsedSeconds();
   ++stats_.incremental_repairs;
   return out;
 }
@@ -416,9 +413,16 @@ CqaResult IncrementalEngine::ExecuteCqa(const CqaRequest& request) {
 
     case SemanticsKind::kIndependent: {
       ExecContext ctx(request.options);
-      EnsureWarmSolveLocked(request.options.independent.min_ones, &ctx);
-      if (!minones_valid_) break;  // cold fallback
-      EnsureWarmModelLocked();
+      RepairStats solve_stats;
+      if (!EnsureWarmSolveLocked(request.options.independent.min_ones, &ctx,
+                                 &solve_stats)) {
+        break;  // cold fallback
+      }
+      // Built at the epoch's first independent CQA, so a repair-only
+      // epoch builds no ConeSlicer.
+      if (warm_model_ == nullptr) {
+        warm_model_ = MakeStabilityModel(warm_builder_, warm_solved_.model);
+      }
       SymbolicRepairSpace space(warm_model_,
                                 request.options.independent.min_ones);
       ++stats_.warm_cqa;
@@ -456,7 +460,7 @@ CqaResult IncrementalEngine::ExecuteCqa(const CqaRequest& request) {
                                      const CqaVerdict& certain,
                                      const CqaVerdict& possible) {
         if (!certain.decided && !possible.decided) return;
-        if (verdict_cache_.size() >= options_.max_verdict_cache_entries) {
+        if (verdict_cache_.size() >= kMaxVerdictCacheEntries) {
           verdict_cache_.clear();
         }
         const std::pair<uint64_t, uint64_t> sig = AnswerSignatureLocked(prov);

@@ -5,26 +5,27 @@
 // (Database::DeltaSince):
 //
 //   relation layer   a warm InstanceView carried forward by ApplyDelta;
-//   grounder layer   a GroundProgramCache advanced per delta into a
-//                    ground-program patch (added/retracted rule ids);
-//   solver layer     an IncrementalDeletionCnf applying that patch to
-//                    its clause set, with warm component-cached
-//                    Min-Ones;
+//   grounder layer   a GroundProgramCache (Algorithm 1's hypothetical
+//                    ground program) advanced per delta; each change
+//                    starts a new ground epoch;
 //   repair layer     a FixpointCache replaying the end-semantics
-//                    fixpoint by delete-rederive, plus per-semantics
-//                    result reuse while the ground program is unchanged;
-//   CQA layer        one StabilityModel per CNF epoch (the active
-//                    clauses, the warm optimum and their cone
-//                    decomposition), served by SymbolicRepairSpace, plus
-//                    a per-answer verdict cache keyed by the answer's
-//                    provenance cone (residual-component content keys) —
-//                    only answers whose cone intersects the delta are
-//                    re-validated.
+//                    fixpoint by delete-rederive, per-semantics result
+//                    reuse while the ground epoch is unchanged, and for
+//                    independent the cold pipeline's Process Prov and
+//                    Solve phases (repair/stability_model.h) run once per
+//                    ground epoch over the cached ground program;
+//   CQA layer        that epoch's StabilityModel, built at its first
+//                    independent CQA and served by SymbolicRepairSpace,
+//                    plus a per-answer verdict cache keyed by the
+//                    answer's provenance cone (residual-component content
+//                    keys) — only answers whose cone intersects the delta
+//                    are re-validated.
 //
 // Soundness anchor: the hypothetical ground program is a non-recursive
 // join over the live set, so the cache maintains it exactly; every
-// semantics' rule firings bind only live rows, so an *empty* patch
-// certifies that all repair outcomes and CQA verdicts are unchanged.
+// semantics' rule firings bind only live rows, so a delta that leaves
+// the ground program unchanged certifies that all repair outcomes and CQA
+// verdicts are unchanged.
 //
 // Cold fallbacks (correctness first): the warm state is rebuilt from
 // scratch when the delta fraction exceeds
@@ -48,7 +49,6 @@
 
 #include "cqa/cqa.h"
 #include "datalog/ground_cache.h"
-#include "provenance/incremental_cnf.h"
 #include "repair/fixpoint.h"
 #include "repair/repair_engine.h"
 #include "repair/stability_model.h"
@@ -61,8 +61,6 @@ struct IncrementalEngineOptions {
   /// point re-grounding is cheaper than patching. <= 0 disables the
   /// fallback (always incremental).
   double cold_fallback_fraction = 0.25;
-  /// Per-answer CQA verdict cache entries kept before a full clear.
-  size_t max_verdict_cache_entries = 1 << 20;
 };
 
 class IncrementalEngine {
@@ -97,7 +95,11 @@ class IncrementalEngine {
     uint64_t cold_cqa = 0;
     uint64_t verdict_cache_hits = 0;
     uint64_t verdict_cache_misses = 0;
+    /// Always 0 since the warm Min-Ones component cache was removed;
+    /// perfbench/ still reads it.
     uint64_t minones_components_reused = 0;
+    /// Always 0 since the warm Min-Ones component cache was removed;
+    /// perfbench/ still reads it.
     uint64_t minones_components_solved = 0;
     /// Always 0 since the long-lived solver was removed; perfbench/
     /// still reads it.
@@ -122,12 +124,13 @@ class IncrementalEngine {
   /// require mu_ held.
   void SyncLocked();
   void ColdRebuildLocked();
-  /// Runs/reuses the warm Min-Ones pass; after a successful return
-  /// cnf_.SolvedAtCurrentEpoch() holds and last_minones_ is current.
-  void EnsureWarmSolveLocked(const MinOnesOptions& base, ExecContext* ctx);
-  /// Rebuilds warm_model_ when the CNF epoch moved. Requires a valid
-  /// warm optimum (minones_valid_).
-  void EnsureWarmModelLocked();
+  /// Runs Algorithm 1's Process Prov and Solve phases over ground_cache_
+  /// unless the current ground epoch already has a proven optimum. The
+  /// run's phase times and solver counters land in `stats`. False when
+  /// the pass was truncated or its optimum is unproven; nothing is kept
+  /// then, and the next request retries with its own budget.
+  bool EnsureWarmSolveLocked(const MinOnesOptions& options, ExecContext* ctx,
+                             RepairStats* stats);
   /// End semantics from warm state: cached fixpoint replay, or a full
   /// fixpoint run (on the warm view) that seeds the cache.
   RepairOutcome EndRepairLocked(const RepairRequest& request);
@@ -158,23 +161,28 @@ class IncrementalEngine {
   InstanceView view_;
   uint64_t warm_version_ = 0;
   GroundProgramCache ground_cache_;
-  IncrementalDeletionCnf cnf_;
   FixpointCache fixpoint_cache_;
   /// Construction-effort counters of the run that seeded
   /// fixpoint_cache_, reported by warm end-semantics CQA so its space
   /// stats match what the cold builder would emit.
   RepairStats fixpoint_stats_;
-  /// Bumped on every ground-program change (non-empty patch or rebuild);
-  /// per-semantics cached results are valid while it is unchanged.
+  /// Bumped on every ground-program change (a delta that changed it, or
+  /// a rebuild); per-semantics cached results are valid while it is
+  /// unchanged.
   uint64_t ground_epoch_ = 0;
-  WarmMinOnesResult last_minones_;
-  bool minones_valid_ = false;
-  /// The independent space of CNF epoch warm_model_epoch_, built at the
-  /// first independent CQA of the epoch; serves warm CQA and the
-  /// verdict-cache signatures. Its tuple -> variable lookup reads cnf_,
-  /// whose variables only append (bounded to the model's own count).
+  /// Algorithm 1 over ground epoch solved_epoch_: the builder holding the
+  /// stability CNF and its variable maps, the proven minimum, and the
+  /// stats of the run (every independent repair of the epoch reports its
+  /// cnf_* shape counters).
+  std::shared_ptr<DeletionCnfBuilder> warm_builder_;
+  MinOnesResult warm_solved_;
+  RepairStats warm_solve_stats_;
+  uint64_t solved_epoch_ = UINT64_MAX;
+  /// The independent space of epoch solved_epoch_, built from
+  /// warm_builder_ at the epoch's first independent CQA (it takes the
+  /// builder's clauses and shares its lookup); serves warm CQA and the
+  /// verdict-cache signatures. Reset by every new solve.
   std::shared_ptr<const StabilityModel> warm_model_;
-  uint64_t warm_model_epoch_ = UINT64_MAX;
   RepairResult stage_result_, step_result_;
   uint64_t stage_epoch_ = UINT64_MAX, step_epoch_ = UINT64_MAX;
 

@@ -623,10 +623,6 @@ std::string RepairServer::HandleStats() {
     json.Field("inc_cold_cqa", inc.cold_cqa);
     json.Field("inc_verdict_cache_hits", inc.verdict_cache_hits);
     json.Field("inc_verdict_cache_misses", inc.verdict_cache_misses);
-    json.Field("inc_minones_components_reused",
-               inc.minones_components_reused);
-    json.Field("inc_minones_components_solved",
-               inc.minones_components_solved);
   }
   json.Field("flight_threshold_seconds", flight_->threshold_seconds());
   json.Key("flight");

@@ -153,9 +153,21 @@ RepairRequest MakeRepairRequest(const std::string& semantics) {
   return request;
 }
 
+/// Asserts that a warm independent repair reports the CNF the cold
+/// pipeline builds: the warm engine encodes the same ground program, so
+/// every Algorithm 1 shape counter matches.
+void ExpectSameCnfShape(const RepairStats& warm, const RepairStats& cold,
+                        const std::string& context) {
+  EXPECT_EQ(warm.cnf_vars, cold.cnf_vars) << context;
+  EXPECT_EQ(warm.cnf_clauses, cold.cnf_clauses) << context;
+  EXPECT_EQ(warm.cnf_dup_clauses, cold.cnf_dup_clauses) << context;
+  EXPECT_EQ(warm.cnf_subsumed_clauses, cold.cnf_subsumed_clauses)
+      << context;
+}
+
 /// Asserts warm == cold for one request: identical deleted sets for the
-/// deterministic semantics, identical minimum size + stabilizing for
-/// independent (minimum repairs need not be unique).
+/// deterministic semantics; for independent (minimum repairs need not be
+/// unique), identical minimum size + stabilizing and the same CNF shape.
 void ExpectSameOutcome(IncrementalEngine* warm, RepairEngine* cold,
                        const std::string& semantics,
                        const std::string& context) {
@@ -171,6 +183,8 @@ void ExpectSameOutcome(IncrementalEngine* warm, RepairEngine* cold,
   if (semantics == "independent") {
     EXPECT_EQ(w.result.size(), c.result.size())
         << semantics << " minimum sizes diverge " << context;
+    ExpectSameCnfShape(w.result.stats, c.result.stats,
+                       semantics + " CNF shapes diverge " + context);
   } else {
     EXPECT_TRUE(w.result.SameSet(c.result))
         << semantics << " deleted sets diverge " << context;
@@ -487,6 +501,8 @@ TEST_P(IncrementalDifferentialTest, WarmEqualsColdOverUpdateStream) {
       if (semantics == "independent") {
         ASSERT_EQ(w.result.size(), c.result.size())
             << semantics << " " << context;
+        ExpectSameCnfShape(w.result.stats, c.result.stats,
+                           semantics + " CNF shapes diverge " + context);
       } else {
         ASSERT_TRUE(w.result.SameSet(c.result))
             << semantics << " " << context << "\nwarm: "
