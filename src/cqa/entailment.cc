@@ -145,14 +145,13 @@ std::optional<CqaCounterexample> SlicedJudge::Counterexample(
     const AnswerProvenance& prov, ExecContext* ctx) {
   if (model_ == nullptr) return std::nullopt;
   const ConeSlicer::ReducedAnswer red = Reduce(prov);
-  if (red.untouched) return std::nullopt;  // unkillable by any repair
   ConeSlicer& slicer = model_->slicer();
   std::vector<uint32_t> killer;
   bool minimal = false;
   std::optional<CexFallbackReason> fallback;
-  if (red.alive) {
+  if (red.untouched || red.alive) {
     // Survives every minimum repair; the smallest killer (if any)
-    // deletes pinned tuples the slice fixed.
+    // deletes pinned tuples the slice fixed, or tuples with no variable.
     fallback = CexFallbackReason::kAlive;
   } else if (red.no_survivor) {
     // Every minimum repair kills the answer; the global optimum itself
@@ -206,20 +205,36 @@ std::optional<CqaCounterexample> SlicedJudge::Counterexample(
 
 std::optional<CqaCounterexample> SlicedJudge::FullCounterexample(
     const AnswerProvenance& prov, ExecContext* ctx) {
-  // When the answer is non-certain the minimum equals the optimum, so
-  // the witness is itself a minimum repair.
-  Cnf cnf = model_->cnf();
+  // The smallest stabilizing set killing the answer lies in the closure
+  // of the model's variables and the answer's tuples: the kill clauses
+  // are all-positive, so they seed the closure as the rules with no
+  // delta atom do. Copy the model's CNF over the same variables, then
+  // append the extension's clauses over fresh variables.
+  DeletionCnfBuilder builder;
+  builder.mutable_cnf() = model_->cnf();
+  ReachableEval eval(space_->view_, space_->program_);
+  for (uint32_t v = 0; v < model_->num_vars(); ++v) {
+    builder.VarOf(model_->tuple(v));  // variable v again
+    eval.MarkGrounded(model_->tuple(v));
+  }
   for (const std::vector<TupleId>& m : prov.monomials) {
-    bool killable = false;
-    for (const TupleId& t : m) {
-      const int64_t v = model_->FindVar(t);
-      if (v < 0) continue;
-      cnf.PushLit(PosLit(static_cast<uint32_t>(v)));
-      killable = true;
-    }
-    if (!killable) return std::nullopt;  // no deletion variable to kill it
+    for (const TupleId& t : m) eval.Seed(t);
+  }
+  if (!eval.Run(/*delta_free_round=*/false,
+                [&](const GroundAssignment& ga) {
+                  builder.AddAssignment(ga);
+                  return true;
+                },
+                ctx)) {
+    return std::nullopt;  // budget or cancellation
+  }
+  Cnf& cnf = builder.mutable_cnf();
+  for (const std::vector<TupleId>& m : prov.monomials) {
+    for (const TupleId& t : m) cnf.PushLit(PosLit(builder.VarOf(t)));
     cnf.EndClause();
   }
+  // When the answer is non-certain the minimum equals the optimum, so
+  // the witness is itself a minimum repair.
   MinOnesResult solved = MinOnesSat(cnf, BudgetedMinOnes(ctx));
   repair_stats_.AddSolver(solved.solver);
   if (!solved.satisfiable) {
@@ -227,8 +242,8 @@ std::optional<CqaCounterexample> SlicedJudge::FullCounterexample(
     return std::nullopt;  // proven certain, or budget before any model
   }
   CqaCounterexample cex;
-  for (uint32_t v = 0; v < model_->num_vars(); ++v) {
-    if (solved.model[v]) cex.deleted.push_back(model_->tuple(v));
+  for (uint32_t v = 0; v < builder.num_vars(); ++v) {
+    if (solved.model[v]) cex.deleted.push_back(builder.TupleOfVar(v));
   }
   std::sort(cex.deleted.begin(), cex.deleted.end());
   cex.minimal = solved.optimal;

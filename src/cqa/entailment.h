@@ -21,7 +21,10 @@
 // in SliceStats::slice_fallbacks, and its "cqa.cex_fallback" span
 // carries the CexFallbackReason. In every case the smallest killer may
 // delete variables the slice pinned by minimality-preserving
-// preprocessing, so only the full CNF can find it.
+// preprocessing, or tuples with no variable at all, so the rerun first
+// extends the model's reachable closure (repair/stability_model.h) from
+// the answer's tuples over the space's view: the smallest stabilizing
+// set killing the answer lies in that closure.
 #ifndef DELTAREPAIR_CQA_ENTAILMENT_H_
 #define DELTAREPAIR_CQA_ENTAILMENT_H_
 
@@ -37,7 +40,8 @@ namespace deltarepair {
 /// Why a counterexample reran on the full CNF (the "reason" argument of
 /// the "cqa.cex_fallback" span).
 enum class CexFallbackReason : uint64_t {
-  /// The answer survives every minimum repair; any killer is larger.
+  /// The answer survives every minimum repair (a derivation whose tuples
+  /// are all forced kept or have no variable); any killer is larger.
   kAlive = 1,
   /// The cone's residual space holds no killer.
   kNoConeKiller = 2,
@@ -66,8 +70,8 @@ class SlicedJudge : public AnswerJudge {
   /// verdict is then undecided.
   bool LoadCappedSlice(const ConeSlicer::Slice& slice, ExecContext* ctx,
                        CdclSolver* solver);
-  /// Min-Ones over the model's full CNF ∧ ¬φ: the smallest stabilizing
-  /// set killing the answer.
+  /// Min-Ones over the model's full CNF, extended from the answer's
+  /// tuples, ∧ ¬φ: the smallest stabilizing set killing the answer.
   std::optional<CqaCounterexample> FullCounterexample(
       const AnswerProvenance& prov, ExecContext* ctx);
   /// Min-Ones options bounded by the remaining ctx budget.

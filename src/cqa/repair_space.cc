@@ -108,15 +108,17 @@ SymbolicRepairSpace::SymbolicRepairSpace(InstanceView* view,
                                          const Program& program,
                                          const RepairOptions& options,
                                          ExecContext* ctx)
-    : min_ones_options_(options.independent.min_ones) {
+    : view_(view),
+      program_(program),
+      min_ones_options_(options.independent.min_ones) {
   SetModel(BuildStabilityModel(view, program, min_ones_options_, ctx,
                                &stats_));
 }
 
 SymbolicRepairSpace::SymbolicRepairSpace(
-    std::shared_ptr<const StabilityModel> model,
-    const MinOnesOptions& min_ones_options)
-    : min_ones_options_(min_ones_options) {
+    std::shared_ptr<const StabilityModel> model, InstanceView* view,
+    const Program& program, const MinOnesOptions& min_ones_options)
+    : view_(view), program_(program), min_ones_options_(min_ones_options) {
   SetModel(std::move(model));
 }
 

@@ -18,12 +18,14 @@
 //  * EnumeratedRepairSpace — an explicit list of repairs (end/stage
 //    singletons; step via memoized DFS over activation sequences);
 //  * SymbolicRepairSpace — the independent space as a StabilityModel
-//    (repair/stability_model.h): Algorithm 1's negated provenance CNF
-//    (models = stabilizing sets), a proven minimum model and its cone
+//    (repair/stability_model.h): the reachable part of Algorithm 1's
+//    negated provenance CNF (its minimum models = the minimum
+//    stabilizing sets), a proven minimum model and its cone
 //    decomposition. Per answer, certain is UNSAT of ¬φ and possible is
 //    SAT of φ over the minimum repairs, both on the answer's cone slice
 //    under per-component caps; counterexamples run Min-Ones over
-//    stability ∧ ¬φ (cqa/entailment.h).
+//    stability ∧ ¬φ, the CNF extended from the answer's own tuples when
+//    the killer may exceed the minimum (cqa/entailment.h).
 //
 // Spaces whose construction was truncated by a budget or cancellation
 // are *inexact*: every verdict degrades to undecided with the
@@ -166,14 +168,20 @@ class EnumeratedRepairSpace : public RepairSpace {
 /// cone slice, on fresh throwaway solvers — thread-safe and
 /// deterministic. The cold space owns a model built for the request;
 /// the warm engine passes in the model of its current ground epoch.
+/// Either way the space keeps the view and program the model describes:
+/// counterexamples beyond the minimum extend the model's closure over
+/// them, concurrently from several judges, so the view's state must not
+/// change while the space serves requests.
 class SymbolicRepairSpace : public RepairSpace {
  public:
   /// Builds a fresh model over the view's current state. Reads ctx for
   /// budget/cancel; on truncation the space is inexact.
   SymbolicRepairSpace(InstanceView* view, const Program& program,
                       const RepairOptions& options, ExecContext* ctx);
-  /// Serves a prebuilt model; nullptr makes the space inexact.
+  /// Serves a prebuilt model of `view`'s current state; nullptr makes the
+  /// space inexact.
   SymbolicRepairSpace(std::shared_ptr<const StabilityModel> model,
+                      InstanceView* view, const Program& program,
                       const MinOnesOptions& min_ones_options);
 
   /// Direct calls delegate to a temporary judge.
@@ -196,6 +204,8 @@ class SymbolicRepairSpace : public RepairSpace {
   void SetModel(std::shared_ptr<const StabilityModel> model);
 
   std::shared_ptr<const StabilityModel> model_;
+  InstanceView* view_;
+  const Program& program_;
   MinOnesOptions min_ones_options_;
 
   mutable std::mutex stats_mu_;  // judges flush counters concurrently

@@ -1,5 +1,7 @@
 #include "datalog/ground_cache.h"
 
+#include <algorithm>
+
 #include "repair/repair_options.h"
 
 namespace deltarepair {
@@ -118,6 +120,60 @@ bool GroundProgramCache::ApplyDelta(InstanceView* view, const Program& program,
     }
   }
   return true;
+}
+
+std::vector<uint32_t> GroundProgramCache::ReachableRules(
+    const Program& program) const {
+  // Per ground rule: its delta positions whose tuple is still unreached.
+  std::vector<uint32_t> pending(rules_.size(), 0);
+  std::vector<uint32_t> fired;  // the worklist, each rule queued once
+  size_t waiting = 0;           // active rules not fired yet
+  for (uint32_t id = 0; id < rules_.size(); ++id) {
+    if (!active_[id]) continue;
+    for (const Atom& atom : program.rules()[rules_[id].rule_index].body) {
+      pending[id] += atom.is_delta ? 1 : 0;
+    }
+    if (pending[id] == 0) {
+      fired.push_back(id);
+    } else {
+      ++waiting;
+    }
+  }
+  // Per relation and row: reached yet.
+  std::vector<std::vector<uint8_t>> reached;
+  for (size_t next = 0; next < fired.size() && waiting > 0; ++next) {
+    const GroundRule& gr = rules_[fired[next]];
+    const std::vector<Atom>& body = program.rules()[gr.rule_index].body;
+    for (size_t i = 0; i < body.size(); ++i) {
+      const TupleId t = gr.body[i];
+      if (body[i].is_delta) continue;
+      if (t.relation >= reached.size()) reached.resize(t.relation + 1);
+      std::vector<uint8_t>& rows = reached[t.relation];
+      if (t.row >= rows.size()) rows.resize(t.row + 1, 0);
+      if (rows[t.row]) continue;
+      rows[t.row] = 1;
+      auto it = by_row_.find(t.Pack());
+      if (it == by_row_.end()) continue;
+      // Record lists a rule once per position binding the row, and those
+      // entries are adjacent: visit each rule once.
+      uint32_t previous = UINT32_MAX;
+      for (uint32_t holder : it->second) {
+        if (holder == previous || !active_[holder]) continue;
+        previous = holder;
+        if (pending[holder] == 0) continue;
+        const GroundRule& h = rules_[holder];
+        const std::vector<Atom>& hbody = program.rules()[h.rule_index].body;
+        for (size_t j = 0; j < hbody.size(); ++j) {
+          if (hbody[j].is_delta && h.body[j] == t && --pending[holder] == 0) {
+            fired.push_back(holder);
+            --waiting;
+          }
+        }
+      }
+    }
+  }
+  std::sort(fired.begin(), fired.end());
+  return fired;
 }
 
 }  // namespace deltarepair

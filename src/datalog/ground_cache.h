@@ -3,11 +3,12 @@
 // atoms range over live tuples (DeltaMatch::kHypothetical) — maintained
 // incrementally across external updates instead of re-enumerated per
 // request. This is the shared ground-program cache keyed by (program,
-// instance version): the independent semantics' CNF is a projection of
-// it, CQA's symbolic repair space is built from it, and a delta that
-// touches none of its ground rules certifies that *every* semantics'
-// repair outcome is unchanged (all operational assignments bind only
-// live rows, so they are contained in the hypothetical ground program).
+// instance version): the independent semantics' CNF encodes its
+// reachable part (ReachableRules, the rules the cold ReachableEval of
+// repair/stability_model.h grounds), and a delta that touches none of
+// its ground rules certifies that *every* semantics' repair outcome is
+// unchanged (all operational assignments bind only live rows, so they
+// are contained in the hypothetical ground program).
 //
 // Maintenance is exact because the ground program is a non-recursive
 // join over the live set: deleting a row invalidates exactly the ground
@@ -59,6 +60,14 @@ class GroundProgramCache {
   size_t num_active() const { return num_active_; }
   bool active(uint32_t id) const { return active_[id] != 0; }
   const GroundRule& rule(uint32_t id) const { return rules_[id]; }
+
+  /// Ids of the active ground rules whose delta tuples all lie in the
+  /// reachable set R of repair/stability_model.h, ascending: a worklist
+  /// over the row -> rules index fires the rules with no delta atom
+  /// first, every tuple a fired rule binds at a base position becomes
+  /// reached, and a rule fires once every tuple it binds at a delta
+  /// position is reached. Nothing is re-grounded.
+  std::vector<uint32_t> ReachableRules(const Program& program) const;
 
  private:
   static uint64_t KeyOf(const GroundRule& gr);

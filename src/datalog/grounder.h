@@ -34,8 +34,13 @@
 //                 derivation, Def. 3.10).
 //  * DeltaMatch — delta atoms ∆_i(Y) match currently-deleted rows
 //                 (operational semantics) or *any* live row (hypothetical
-//                 deletions, used by Algorithm 1: independent semantics
-//                 may delete tuples that are never derivable).
+//                 deletions: independent semantics may delete tuples that
+//                 are never derivable). Algorithm 1's Eval
+//                 (ReachableEval, repair/stability_model.h) does not
+//                 enumerate every hypothetical assignment: it pivots a
+//                 delta atom on the rows it has reached and filters the
+//                 others by reach round. The warm ground cache and the
+//                 side-effect analysis enumerate them all.
 #ifndef DELTAREPAIR_DATALOG_GROUNDER_H_
 #define DELTAREPAIR_DATALOG_GROUNDER_H_
 

@@ -6,7 +6,11 @@
 // disjunction F over all delta tuples is negated into a CNF ¬F whose
 // satisfying assignments are exactly the stabilizing sets; flipping
 // polarity (v_t := ¬x_t = "t is deleted") yields a Min-Ones instance whose
-// optimum is Ind(P, D).
+// optimum is Ind(P, D). Producers feed it only the reachable assignments
+// (ReachableEval, repair/stability_model.h): the ones whose delta tuples
+// the delta-free rules can trigger. That CNF has the same minimum models,
+// and its variables are exactly the tuples some minimum repair could
+// delete; a tuple without a variable is kept by every minimum repair.
 //
 // DeletionCnfBuilder constructs ¬F directly in deletion-variable polarity:
 // each assignment α with base tuples {t1..tk} and delta tuples {s1..sj}
@@ -62,7 +66,7 @@ class DeletionCnfBuilder {
     return normalize_stats_;
   }
 
-  /// Number of deletion variables (touched tuples).
+  /// Number of deletion variables (tuples of the assignments added).
   uint32_t num_vars() const { return static_cast<uint32_t>(tuple_of_.size()); }
 
   /// The tuple represented by variable v.

@@ -226,7 +226,7 @@ ConeSlicer::ReducedAnswer ConeSlicer::Reduce(
     std::vector<uint32_t> open;
     for (TupleId tid : mono) {
       int64_t v = var_of(tid);
-      if (v < 0) continue;  // tuple outside the deletion space
+      if (v < 0) continue;  // kept by every minimum repair
       has_var = true;
       VarState s = state_[static_cast<uint32_t>(v)];
       if (s == VarState::kForcedDeleted) {
@@ -237,7 +237,9 @@ ConeSlicer::ReducedAnswer ConeSlicer::Reduce(
     }
     if (dead) continue;  // this derivation dies in every minimum repair
     if (!has_var) {
-      // No repair of any size can delete a tuple of this derivation.
+      // No minimum repair deletes a tuple of this derivation: a tuple
+      // without a variable lies outside the reachable part of Algorithm
+      // 1's CNF. A larger stabilizing set still may.
       return ReducedAnswer{true, false, false, {}, {}};
     }
     if (open.empty()) {

@@ -107,8 +107,9 @@ class ConeSlicer {
 
   /// One answer's provenance DNF reduced over the minimum-repair space.
   struct ReducedAnswer {
-    /// Some monomial has no deletion variable at all: no repair — of
-    /// any size — can kill the answer.
+    /// Some monomial has no deletion variable at all: the answer
+    /// survives every minimum repair (certain and possible), though a
+    /// larger deletion set could still kill it.
     bool untouched = false;
     /// Some monomial's variables are all forced-kept: the answer
     /// survives every *minimum* repair (certain and possible), though a

@@ -32,7 +32,11 @@ struct RepairStats {
   double traverse_seconds = 0;      // graph traversal (Algorithm 2)
   double total_seconds = 0;
 
-  uint64_t assignments = 0;   // ground assignments enumerated
+  // Ground assignments enumerated. For the independent semantics: the
+  // reachable assignments Algorithm 1's Eval grounds (ReachableEval in
+  // repair/stability_model.h), each counted once; 0 when the warm
+  // engine encodes its maintained ground program instead.
+  uint64_t assignments = 0;
   uint64_t iterations = 0;    // fixpoint rounds / stages
   uint64_t cnf_vars = 0;      // Algorithm 1 formula size
   uint64_t cnf_clauses = 0;

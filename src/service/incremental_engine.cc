@@ -144,14 +144,15 @@ bool IncrementalEngine::EnsureWarmSolveLocked(const MinOnesOptions& options,
                                               ExecContext* ctx,
                                               RepairStats* stats) {
   if (solved_epoch_ == ground_epoch_) return true;
-  // The cold pipeline's Process Prov and Solve over the cached ground
-  // program, fed in the flat (rule, body) form SolveStability stores.
+  // The cold pipeline's Process Prov and Solve over the reachable part of
+  // the cached ground program (the rules the cold Eval would ground), fed
+  // in the flat (rule, body) form SolveStability stores.
   auto builder = std::make_shared<DeletionCnfBuilder>();
   MinOnesResult solved;
   const bool complete = ProcessProvAndSolve(
-      [&] {
-        for (uint32_t id = 0; id < ground_cache_.num_rules(); ++id) {
-          if (!ground_cache_.active(id)) continue;
+      [&](Span* span) {
+        span->SetArg("active_rules", ground_cache_.num_active());
+        for (uint32_t id : ground_cache_.ReachableRules(program())) {
           if (ctx->Tick()) break;
           const GroundProgramCache::GroundRule& gr = ground_cache_.rule(id);
           builder->AddAssignment(program().rules()[gr.rule_index],
@@ -327,7 +328,7 @@ std::pair<uint64_t, uint64_t> IncrementalEngine::AnswerSignatureLocked(
       // component does not invalidate this answer's cached verdict.
       const int64_t v = warm_model_->FindVar(t);
       if (v < 0) {
-        feed(0);  // no deletion variable: never deletable
+        feed(0);  // no deletion variable: kept by every minimum repair
         continue;
       }
       switch (slicer.state(static_cast<uint32_t>(v))) {
@@ -423,7 +424,7 @@ CqaResult IncrementalEngine::ExecuteCqa(const CqaRequest& request) {
       if (warm_model_ == nullptr) {
         warm_model_ = MakeStabilityModel(warm_builder_, warm_solved_.model);
       }
-      SymbolicRepairSpace space(warm_model_,
+      SymbolicRepairSpace space(warm_model_, &view_, program(),
                                 request.options.independent.min_ones);
       ++stats_.warm_cqa;
       if (!warm_model_->slicer().valid()) {

@@ -13,7 +13,8 @@
 //                    reuse while the ground epoch is unchanged, and for
 //                    independent the cold pipeline's Process Prov and
 //                    Solve phases (repair/stability_model.h) run once per
-//                    ground epoch over the cached ground program;
+//                    ground epoch over the cached ground program's
+//                    reachable rules (the ones the cold Eval grounds);
 //   CQA layer        that epoch's StabilityModel, built at its first
 //                    independent CQA and served by SymbolicRepairSpace,
 //                    plus a per-answer verdict cache keyed by the
@@ -124,8 +125,9 @@ class IncrementalEngine {
   /// require mu_ held.
   void SyncLocked();
   void ColdRebuildLocked();
-  /// Runs Algorithm 1's Process Prov and Solve phases over ground_cache_
-  /// unless the current ground epoch already has a proven optimum. The
+  /// Runs Algorithm 1's Process Prov and Solve phases over the reachable
+  /// rules of ground_cache_ (GroundProgramCache::ReachableRules) unless
+  /// the current ground epoch already has a proven optimum. The
   /// run's phase times and solver counters land in `stats`. False when
   /// the pass was truncated or its optimum is unproven; nothing is kept
   /// then, and the next request retries with its own budget.

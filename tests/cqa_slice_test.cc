@@ -277,10 +277,11 @@ TEST(CqaSliceTest, WideHubConeDecidedOnItsSlice) {
 
 TEST(CqaSliceTest, CounterexampleFallbacksCarryTheirReason) {
   // With certain not asked, certain answers get counterexamples too, and
-  // only the full CNF can compose theirs. Each rerun counts as a slice
-  // fallback, and its span says why. The third reason (no killer in the
-  // cone) cannot arise from delta rules: every residual clause keeps the
-  // open positive literal of its rule's self atom.
+  // only the full CNF, extended from the answer's tuples, can compose
+  // theirs. Each rerun counts as a slice fallback, and its span says why.
+  // The third reason (no killer in the cone) cannot arise from delta
+  // rules: every residual clause keeps the open positive literal of its
+  // rule's self atom.
   struct Case {
     const char* name;
     std::function<Program(Database*)> make;
@@ -306,6 +307,24 @@ TEST(CqaSliceTest, CounterexampleFallbacksCarryTheirReason) {
          return MustParseProgram("~A(x) :- A(x), ~B(x).\n");
        },
        "Q(x) :- A(x).", CexFallbackReason::kAlive},
+      // No assignment binds C(1) (the second rule needs x = 99), so C(1)
+      // has no variable, yet deleting it with any minimum repair kills
+      // the answer: its counterexample extends the closure from C(1).
+      {"untouched",
+       [](Database* db) {
+         uint32_t a = db->AddRelation(MakeIntSchema("A", {"x"}));
+         uint32_t b = db->AddRelation(MakeIntSchema("B", {"x"}));
+         uint32_t c = db->AddRelation(MakeIntSchema("C", {"x"}));
+         for (int64_t x : {1, 2}) {
+           db->Insert(a, {Value(x)});
+           db->Insert(b, {Value(x)});
+         }
+         db->Insert(c, {Value(int64_t{1})});
+         return MustParseProgram(
+             "~A(x) :- A(x), ~B(x).\n"
+             "~C(x) :- C(x), ~A(x), x = 99.\n");
+       },
+       "Q(x) :- C(x).", CexFallbackReason::kAlive},
   };
   for (const Case& c : cases) {
     Database db;

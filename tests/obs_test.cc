@@ -20,7 +20,9 @@
 #include "obs/trace.h"
 #include "repair/repair_engine.h"
 #include "sat/min_ones.h"
+#include "service/incremental_engine.h"
 #include "tests/test_util.h"
+#include "workload/programs.h"
 
 namespace deltarepair {
 namespace {
@@ -168,6 +170,51 @@ TEST_F(TraceTest, ProcessProvSpanCountsTheNormalizationOnce) {
   ASSERT_EQ(solve.size(), 1u);
   EXPECT_EQ(ArgsOf(solve[0])["normalized"], 0u);
   EXPECT_EQ(ArgsOf(solve[0])["clauses"], 1u);
+}
+
+TEST_F(TraceTest, EvalAndWarmEncodeSpansShowTheReachablePart) {
+  // The running example grounds 8 reachable assignments in 5 rounds:
+  // the delta-free rule (Grant 2), then the authors it triggers, their
+  // papers and authorships, the citation, and a last round in which no
+  // rule has a delta atom over what was reached.
+  RunningExample ex = MakeRunningExample();
+  StatusOr<RepairEngine> cold = RepairEngine::Create(&ex.db, ex.program);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  RepairOutcome out = cold->Execute(RepairRequest{"independent"});
+  ASSERT_TRUE(out.ok());
+  std::vector<TraceEvent> events = Trace::Collect();
+  std::vector<TraceEvent> eval = EventsNamed(events, "repair.eval");
+  ASSERT_EQ(eval.size(), 1u);
+  std::map<std::string, uint64_t> args = ArgsOf(eval[0]);
+  EXPECT_EQ(args["assignments"], 8u);
+  EXPECT_EQ(args["assignments"], out.result.stats.assignments);
+  EXPECT_EQ(args["rounds"], 5u);
+  // The joins stay children of the Eval span, so datalog self time
+  // still counts them.
+  std::vector<TraceEvent> joins = EventsNamed(events, "ground.enumerate_rule");
+  ASSERT_FALSE(joins.empty());
+  for (const TraceEvent& e : joins) {
+    EXPECT_EQ(e.depth, eval[0].depth + 1);
+    EXPECT_GE(e.start_ns, eval[0].start_ns);
+    EXPECT_LE(e.start_ns + e.dur_ns, eval[0].start_ns + eval[0].dur_ns);
+  }
+
+  // The warm encode reports the maintained program beside the clauses
+  // it encoded from its reachable part: 9 active rules (the full
+  // hypothetical grounding), 6 clauses.
+  StatusOr<std::unique_ptr<IncrementalEngine>> warm =
+      IncrementalEngine::Create(&ex.db, ex.program);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  Trace::Clear();
+  RepairOutcome w = (*warm)->ExecuteRepair(RepairRequest{"independent"});
+  ASSERT_TRUE(w.ok());
+  std::vector<TraceEvent> prov =
+      EventsNamed(Trace::Collect(), "repair.process_prov");
+  ASSERT_EQ(prov.size(), 1u);
+  args = ArgsOf(prov[0]);
+  EXPECT_EQ(args["active_rules"], 9u);
+  EXPECT_EQ(args["clauses"], 6u);
+  EXPECT_EQ(args["clauses"], out.result.stats.cnf_clauses);
 }
 
 TEST_F(TraceTest, EnumerateRuleSpanCountsJoinWork) {

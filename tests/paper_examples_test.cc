@@ -295,10 +295,14 @@ TEST(Prop320Test, StageCanBeStrictSubsetOfStep) {
 // deduplication; rules 2 and 3 share bodies).
 TEST_F(RunningExampleTest, NegatedFormulaShape) {
   RepairResult ind = engine_->Run(SemanticsKind::kIndependent);
-  // 7 base tuples appear: g1/g2 chains + a1's (a1, ag1, g1) clause.
-  // Clause count: rule0: 1, rule1: 3 assignments (incl. hypothetical g1),
-  // rules 2/3 dedupe to 2, rule4: 1 → 7 clauses.
-  EXPECT_EQ(ind.stats.cnf_clauses, 7u);
+  // Only the tuples the delta-free rule 0 can trigger are grounded:
+  // rule0: 1 assignment (g2), rule1: 2 (a2, a3 over g2), rules 2/3: 2
+  // each, deduplicated to 2 clauses, rule4: 1 → 8 assignments over 10
+  // variables, 6 clauses. No rule can trigger deleting g1, so the clause
+  // (a1 ∨ ag1 ∨ ¬g1) is not grounded.
+  EXPECT_EQ(ind.stats.assignments, 8u);
+  EXPECT_EQ(ind.stats.cnf_vars, 10u);
+  EXPECT_EQ(ind.stats.cnf_clauses, 6u);
   EXPECT_TRUE(ind.stats.optimal);
 }
 
