@@ -20,7 +20,6 @@ struct AnswerTask {
   const AnswerProvenance* prov = nullptr;
   CqaVerdict certain{false, false};
   CqaVerdict possible{true, false};
-  bool cached = false;
   std::optional<CqaCounterexample> cex;
 };
 
@@ -51,28 +50,26 @@ void AppendAnswer(const CqaRequest& request, AnswerTask& task,
 /// The per-answer verdict protocol, identical on every path: the
 /// requested solver checks with the free implications (certain ⇒
 /// possible, impossible ⇒ not certain), then the annotate
-/// counterexample for non-certain answers (cached ones included).
+/// counterexample for non-certain answers.
 template <typename Judge>
 void EvaluateTask(const CqaRequest& request, Judge* judge, AnswerTask* task,
                   ExecContext* ctx) {
   Span span("cqa.judge_answer");
   span.SetArg("derivations", task->prov->monomials.size());
-  if (!task->cached) {
-    if (request.certain) {
-      task->certain = judge->Certain(*task->prov, ctx);
-    }
-    if (task->certain.decided && task->certain.holds) {
-      // Certain implies possible (repair spaces are non-empty).
-      task->possible = {true, true};
-    }
-    if (request.possible && !task->possible.decided) {
-      task->possible = judge->Possible(*task->prov, ctx);
-    }
-    if (task->possible.decided && !task->possible.holds &&
-        !task->certain.decided) {
-      // Impossible answers are never certain.
-      task->certain = {false, true};
-    }
+  if (request.certain) {
+    task->certain = judge->Certain(*task->prov, ctx);
+  }
+  if (task->certain.decided && task->certain.holds) {
+    // Certain implies possible (repair spaces are non-empty).
+    task->possible = {true, true};
+  }
+  if (request.possible && !task->possible.decided) {
+    task->possible = judge->Possible(*task->prov, ctx);
+  }
+  if (task->possible.decided && !task->possible.holds &&
+      !task->certain.decided) {
+    // Impossible answers are never certain.
+    task->certain = {false, true};
   }
   if (request.annotate &&
       !(task->certain.decided && task->certain.holds)) {
@@ -81,15 +78,14 @@ void EvaluateTask(const CqaRequest& request, Judge* judge, AnswerTask* task,
 }
 
 /// Phase 3, shared by the cold and warm paths: per-answer verdicts in
-/// deterministic (sorted) order, with optional cache hooks. When the
-/// space hands out judges and options.threads > 1, the solver work fans
-/// out across workers (each with its own judge); cache lookups, cache
-/// stores and the answer list stay in sorted order, so the report is
-/// identical to the sequential path.
+/// deterministic (sorted) order. When the space hands out judges and
+/// options.threads > 1, the solver work fans out across workers (each
+/// with its own judge); the answer list stays in sorted order, so the
+/// report is identical to the sequential path.
 void EvaluateAnswers(const CqaRequest& request,
                      std::map<Tuple, AnswerProvenance>& grounded,
-                     RepairSpace* space, const CqaAnswerHooks* hooks,
-                     ExecContext* ctx, CqaResult* result) {
+                     RepairSpace* space, ExecContext* ctx,
+                     CqaResult* result) {
   Span entail_span("cqa.entail");
   entail_span.SetArg("answers", grounded.size());
   ScopedTimer t(&result->stats.entail_seconds);
@@ -102,28 +98,19 @@ void EvaluateAnswers(const CqaRequest& request,
       AnswerTask task;
       task.values = &values;
       task.prov = &prov;
-      task.cached = hooks != nullptr && hooks->lookup &&
-                    hooks->lookup(values, prov, &task.certain,
-                                  &task.possible);
       EvaluateTask(request, space, &task, ctx);
-      if (!task.cached && hooks != nullptr && hooks->store) {
-        hooks->store(values, prov, task.certain, task.possible);
-      }
       AppendAnswer(request, task, result);
     }
     return;
   }
 
-  // Judge-based evaluation. Cache lookups run first, sequentially and
-  // in sorted order (hook implementations may be stateful).
+  // Judge-based evaluation: one task slot per answer, in sorted order.
   std::vector<AnswerTask> tasks;
   tasks.reserve(grounded.size());
   for (auto& [values, prov] : grounded) {
     AnswerTask task;
     task.values = &values;
     task.prov = &prov;
-    task.cached = hooks != nullptr && hooks->lookup &&
-                  hooks->lookup(values, prov, &task.certain, &task.possible);
     tasks.push_back(std::move(task));
   }
 
@@ -163,13 +150,8 @@ void EvaluateAnswers(const CqaRequest& request,
     ctx->ShouldStop();  // latch a budget/cancel that tripped meanwhile
   }
 
-  // Sequential tail: cache stores and the answer list, in sorted order.
-  for (AnswerTask& task : tasks) {
-    if (!task.cached && hooks != nullptr && hooks->store) {
-      hooks->store(*task.values, *task.prov, task.certain, task.possible);
-    }
-    AppendAnswer(request, task, result);
-  }
+  // Sequential tail: the answer list, in sorted order.
+  for (AnswerTask& task : tasks) AppendAnswer(request, task, result);
 }
 
 /// The sequential core: evaluates one request on `view` (restoring its
@@ -237,7 +219,7 @@ CqaResult AnswerQueryOnView(InstanceView* view, const Program& program,
   result.stats.space_exact = space->exact();
 
   // Phase 3: per-answer verdicts, in deterministic (sorted) order.
-  EvaluateAnswers(request, grounded, space.get(), nullptr, &ctx, &result);
+  EvaluateAnswers(request, grounded, space.get(), &ctx, &result);
   space->AddStats(&result.stats.repair);
   space->AddSliceStats(&result.stats.slice);
 
@@ -259,8 +241,7 @@ CqaResult AnswerQueryOnView(InstanceView* view, const Program& program,
 }  // namespace
 
 CqaResult AnswerQueryWithSpace(InstanceView* view, const CqaRequest& request,
-                               RepairSpace* space,
-                               const CqaAnswerHooks* hooks) {
+                               RepairSpace* space) {
   Span span("cqa.answer_query_warm");
   WallTimer total;
   CqaResult result;
@@ -302,7 +283,7 @@ CqaResult AnswerQueryWithSpace(InstanceView* view, const CqaRequest& request,
   result.stats.repair_size = space->repair_size();
   result.stats.space_exact = space->exact();
 
-  EvaluateAnswers(request, grounded, space, hooks, &ctx, &result);
+  EvaluateAnswers(request, grounded, space, &ctx, &result);
   space->AddStats(&result.stats.repair);
   space->AddSliceStats(&result.stats.slice);
 

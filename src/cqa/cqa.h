@@ -26,7 +26,6 @@
 #ifndef DELTAREPAIR_CQA_CQA_H_
 #define DELTAREPAIR_CQA_CQA_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -145,31 +144,14 @@ struct CqaResult {
 /// never applies repairs).
 CqaResult AnswerQuery(RepairEngine* engine, const CqaRequest& request);
 
-/// Per-answer verdict shortcuts for the warm (incremental) path. When
-/// `lookup` returns true the evaluator takes the filled verdicts as
-/// proven and skips its solver calls for that answer; otherwise it
-/// computes verdicts normally and offers them to `store`. Counterexample
-/// annotation is never cached (it always runs for non-certain answers in
-/// annotated mode). Either hook may be empty.
-struct CqaAnswerHooks {
-  std::function<bool(const Tuple& answer, const AnswerProvenance& prov,
-                     CqaVerdict* certain, CqaVerdict* possible)>
-      lookup;
-  std::function<void(const Tuple& answer, const AnswerProvenance& prov,
-                     const CqaVerdict& certain, const CqaVerdict& possible)>
-      store;
-};
-
 /// Warm-path entry: evaluates `request` on the view's current live
 /// state against a caller-prepared repair space (borrowed, not owned —
-/// IncrementalEngine builds it over warm state; the cold entry points
-/// above build spaces from the CqaRegistry per request instead). The
-/// query is still parsed, resolved and grounded fresh — grounding is
-/// cheap next to space construction. `hooks` (nullable) short-circuits
-/// per-answer verdicts from a cache. The view is only read.
+/// IncrementalEngine builds it once per database version; the cold entry
+/// points above build spaces from the CqaRegistry per request instead).
+/// The query is still parsed, resolved and grounded fresh, and every
+/// answer is judged against the space. The view is only read.
 CqaResult AnswerQueryWithSpace(InstanceView* view, const CqaRequest& request,
-                               RepairSpace* space,
-                               const CqaAnswerHooks* hooks);
+                               RepairSpace* space);
 
 /// Executes one CQA request on a fresh snapshot view of the canonical
 /// state, leaving it untouched. Safe to call from many threads at once

@@ -167,7 +167,7 @@ class EnumeratedRepairSpace : public RepairSpace {
 /// run through SlicedJudge (cqa/entailment.h) on the answer's memoized
 /// cone slice, on fresh throwaway solvers — thread-safe and
 /// deterministic. The cold space owns a model built for the request;
-/// the warm engine passes in the model of its current ground epoch.
+/// the warm engine passes in the model of its current database version.
 /// Either way the space keeps the view and program the model describes:
 /// counterexamples beyond the minimum extend the model's closure over
 /// them, concurrently from several judges, so the view's state must not
@@ -195,7 +195,7 @@ class SymbolicRepairSpace : public RepairSpace {
   std::unique_ptr<AnswerJudge> NewJudge() override;
 
   /// This request's judge counters plus the model's build-side counters
-  /// (for a warm model: since its epoch began).
+  /// (for a warm model: since it was built for its version).
   void AddSliceStats(SliceStats* stats) const override;
 
  private:

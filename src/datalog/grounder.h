@@ -39,8 +39,8 @@
 //                 (ReachableEval, repair/stability_model.h) does not
 //                 enumerate every hypothetical assignment: it pivots a
 //                 delta atom on the rows it has reached and filters the
-//                 others by reach round. The warm ground cache and the
-//                 side-effect analysis enumerate them all.
+//                 others by reach round. The side-effect analysis
+//                 enumerates them all.
 #ifndef DELTAREPAIR_DATALOG_GROUNDER_H_
 #define DELTAREPAIR_DATALOG_GROUNDER_H_
 

@@ -9,18 +9,10 @@
 namespace deltarepair {
 namespace {
 
-// Content hashing for component keys: order-insensitive across clauses
-// (commutative accumulation), order-sensitive within a clause (literals
-// are pre-sorted). Two independent mixers shrink collision odds to a
-// 128-bit event.
+// Hash step for the slice memo key (GetSlice).
 uint64_t Mix1(uint64_t h, uint64_t v) {
   h = (h ^ v) * 0x00000100000001b3ULL;
   h ^= h >> 32;
-  return h;
-}
-uint64_t Mix2(uint64_t h, uint64_t v) {
-  h = (h + v) * 0x9e3779b97f4a7c15ULL;
-  h ^= h >> 29;
   return h;
 }
 
@@ -58,15 +50,13 @@ void SliceStats::Add(const SliceStats& o) {
   slice_fallbacks += o.slice_fallbacks;
 }
 
-ConeSlicer::ConeSlicer(const Cnf& cnf, const std::vector<bool>& min_model,
-                       const std::vector<uint64_t>& content_ids) {
+ConeSlicer::ConeSlicer(const Cnf& cnf, const std::vector<bool>& min_model) {
   Span span("cone.decompose");
   span.SetArg("vars", cnf.num_vars());
   ScopedTimer timer(&build_stats_.cone_seconds);
   num_vars_ = cnf.num_vars();
-  if (content_ids.size() != num_vars_) return;
   if (!Preprocess(cnf, min_model)) return;
-  BuildComponents(min_model, content_ids);
+  BuildComponents(min_model);
   valid_ = true;
 }
 
@@ -161,8 +151,7 @@ bool ConeSlicer::Preprocess(const Cnf& cnf,
   return true;
 }
 
-void ConeSlicer::BuildComponents(const std::vector<bool>& min_model,
-                                 const std::vector<uint64_t>& content_ids) {
+void ConeSlicer::BuildComponents(const std::vector<bool>& min_model) {
   Dsu dsu(num_vars_);
   for (const auto& clause : residual_) {
     for (size_t i = 1; i < clause.size(); ++i) {
@@ -195,24 +184,6 @@ void ConeSlicer::BuildComponents(const std::vector<bool>& min_model,
   for (size_t ci = 0; ci < residual_.size(); ++ci) {
     uint32_t c = comp_of_[LitVar(residual_[ci][0])];
     comps_[c].clauses.push_back(static_cast<uint32_t>(ci));
-    // Clause content: size-prefixed sorted (content_id, sign) codes,
-    // folded commutatively into the component key so clause order never
-    // matters.
-    std::vector<uint64_t> codes;
-    codes.reserve(residual_[ci].size());
-    for (Lit l : residual_[ci]) {
-      codes.push_back((content_ids[LitVar(l)] << 1) |
-                      (LitSign(l) ? 1u : 0u));
-    }
-    std::sort(codes.begin(), codes.end());
-    uint64_t h1 = Mix1(0x243f6a8885a308d3ULL, codes.size());
-    uint64_t h2 = Mix2(0x13198a2e03707344ULL, codes.size());
-    for (uint64_t code : codes) {
-      h1 = Mix1(h1, code);
-      h2 = Mix2(h2, code);
-    }
-    comps_[c].content.first += h1;
-    comps_[c].content.second += h2;
   }
 }
 

@@ -43,7 +43,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "relation/tuple.h"
@@ -75,12 +74,8 @@ class ConeSlicer {
 
   /// `cnf` is the stability CNF over deletion variables
   /// 0..cnf.num_vars()-1 and `min_model` a *proven* minimum model of it
-  /// (the pure-literal reduction reads minimality). `content_ids` give
-  /// each variable an identity that does not depend on its number —
-  /// packed tuple ids — so component content keys compare across
-  /// epochs and rebuilds.
-  ConeSlicer(const Cnf& cnf, const std::vector<bool>& min_model,
-             const std::vector<uint64_t>& content_ids);
+  /// (the pure-literal reduction reads minimality).
+  ConeSlicer(const Cnf& cnf, const std::vector<bool>& min_model);
 
   /// False when the model contradicts the propagation fixpoint
   /// (defensive: a consistent caller never trips it); verdicts are then
@@ -89,16 +84,6 @@ class ConeSlicer {
 
   uint32_t num_vars() const { return num_vars_; }
   size_t num_components() const { return comps_.size(); }
-  VarState state(uint32_t v) const { return state_[v]; }
-  /// Residual component of an open variable (meaningless otherwise).
-  uint32_t component_of(uint32_t v) const { return comp_of_[v]; }
-  /// Renumbering-stable 128-bit content key of one residual component
-  /// (hashes its reduced clauses over content ids). Equal keys across
-  /// epochs mean an identical residual subproblem over identical
-  /// tuples.
-  std::pair<uint64_t, uint64_t> component_content(uint32_t c) const {
-    return comps_[c].content;
-  }
   uint32_t component_cost(uint32_t c) const { return comps_[c].cost; }
   /// Variables deleted in every model (composes counterexamples).
   const std::vector<uint32_t>& forced_deleted() const {
@@ -172,12 +157,10 @@ class ConeSlicer {
     std::vector<uint32_t> clauses;     // indices into residual_
     std::vector<uint32_t> true_vars;   // min_model restriction
     uint32_t cost = 0;                 // k_i
-    std::pair<uint64_t, uint64_t> content{0, 0};
   };
 
   bool Preprocess(const Cnf& cnf, const std::vector<bool>& min_model);
-  void BuildComponents(const std::vector<bool>& min_model,
-                       const std::vector<uint64_t>& content_ids);
+  void BuildComponents(const std::vector<bool>& min_model);
 
   bool valid_ = false;
   uint32_t num_vars_ = 0;

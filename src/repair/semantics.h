@@ -35,7 +35,7 @@ struct RepairStats {
   // Ground assignments enumerated. For the independent semantics: the
   // reachable assignments Algorithm 1's Eval grounds (ReachableEval in
   // repair/stability_model.h), each counted once; 0 when the warm
-  // engine encodes its maintained ground program instead.
+  // engine reuses the solve of its database version.
   uint64_t assignments = 0;
   uint64_t iterations = 0;    // fixpoint rounds / stages
   uint64_t cnf_vars = 0;      // Algorithm 1 formula size

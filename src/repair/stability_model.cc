@@ -7,17 +7,6 @@
 
 namespace deltarepair {
 
-namespace {
-
-std::vector<uint64_t> PackedIds(const std::vector<TupleId>& tuples) {
-  std::vector<uint64_t> ids;
-  ids.reserve(tuples.size());
-  for (const TupleId& t : tuples) ids.push_back(t.Pack());
-  return ids;
-}
-
-}  // namespace
-
 StabilityModel::StabilityModel(Cnf cnf, std::vector<TupleId> tuples,
                                const std::vector<bool>& min_model,
                                VarLookup var_of)
@@ -26,7 +15,7 @@ StabilityModel::StabilityModel(Cnf cnf, std::vector<TupleId> tuples,
       var_of_(std::move(var_of)),
       optimum_(static_cast<uint32_t>(
           std::count(min_model.begin(), min_model.end(), true))),
-      slicer_(cnf_, min_model, PackedIds(tuples_)) {}
+      slicer_(cnf_, min_model) {}
 
 ReachableEval::ReachableEval(InstanceView* view, const Program& program)
     : program_(program),
@@ -155,32 +144,22 @@ bool SolveStability(InstanceView* view, const Program& program,
     stats->optimal = false;
     return false;
   }
-  return ProcessProvAndSolve(
-      [&](Span*) {
-        const TupleId* body = stored_bodies.data();
-        for (const Rule* rule : stored_rules) {
-          if (ctx->Tick()) break;
-          builder->AddAssignment(*rule, body);
-          body += rule->body.size();
-        }
-        // Encoded: free the raw provenance before Normalize and Min-Ones
-        // allocate their own working memory.
-        std::vector<const Rule*>().swap(stored_rules);
-        std::vector<TupleId>().swap(stored_bodies);
-      },
-      options, ctx, builder, solved, stats);
-}
 
-bool ProcessProvAndSolve(const std::function<void(Span*)>& encode,
-                         const MinOnesOptions& options, ExecContext* ctx,
-                         DeletionCnfBuilder* builder, MinOnesResult* solved,
-                         RepairStats* stats) {
   // Phase 2 (Process Prov): convert the stored provenance into the negated
   // CNF over deletion variables (lines 2-4), normalized once here.
   {
     Span span("repair.process_prov");
     ScopedTimer t(&stats->process_prov_seconds);
-    encode(&span);
+    const TupleId* body = stored_bodies.data();
+    for (const Rule* rule : stored_rules) {
+      if (ctx->Tick()) break;
+      builder->AddAssignment(*rule, body);
+      body += rule->body.size();
+    }
+    // Encoded: free the raw provenance before Normalize and Min-Ones
+    // allocate their own working memory.
+    std::vector<const Rule*>().swap(stored_rules);
+    std::vector<TupleId>().swap(stored_bodies);
     if (!ctx->stopped()) builder->Normalize();
     span.SetArg("clauses", builder->cnf().num_clauses());
     span.SetArg("dup_clauses", builder->normalize_stats().duplicate_clauses);

@@ -22,14 +22,12 @@
 // beyond the minimum, cqa/entailment.h) lies in the closure of R and its
 // own seeds, which ReachableEval extends from R.
 //
-// Two producers build the model, and both run the same Process Prov and
-// Solve phases (ProcessProvAndSolve) and make the model the same way
-// (MakeStabilityModel):
-//  * cold — BuildStabilityModel runs the reachable Eval over a view first
-//    (SolveStability, which IndependentSemantics::Run runs too);
-//  * warm — IncrementalEngine encodes the reachable rules of the ground
-//    program it maintains (GroundProgramCache::ReachableRules), once per
-//    ground epoch.
+// One pipeline builds every model: SolveStability runs Algorithm 1 on a
+// view, and MakeStabilityModel wraps its CNF and proven minimum.
+// IndependentSemantics::Run runs SolveStability per request, and the cold
+// space (BuildStabilityModel) runs both per request; IncrementalEngine
+// runs both on its warm view once per database version and keeps the
+// model for that version's CQA.
 //
 // A model is immutable after construction, except for the slicer's
 // memoized slices (built on demand, thread-safe), so one model serves
@@ -48,8 +46,6 @@
 #include "sat/min_ones.h"
 
 namespace deltarepair {
-
-class Span;
 
 /// The reachable hypothetical grounding: a semi-naive closure over
 /// DeltaMatch::kHypothetical assignments in which a delta atom ranges only
@@ -123,7 +119,6 @@ class StabilityModel {
   const Cnf& cnf() const { return cnf_; }
   uint32_t num_vars() const { return static_cast<uint32_t>(tuples_.size()); }
   TupleId tuple(uint32_t v) const { return tuples_[v]; }
-  int64_t FindVar(TupleId t) const { return var_of_(t); }
   const VarLookup& var_of() const { return var_of_; }
   /// The size of every minimum repair.
   uint32_t optimum() const { return optimum_; }
@@ -154,19 +149,6 @@ bool SolveStability(InstanceView* view, const Program& program,
                     DeletionCnfBuilder* builder, MinOnesResult* solved,
                     RepairStats* stats);
 
-/// Algorithm 1's Process Prov and Solve phases: `encode` feeds every
-/// ground assignment to `builder` (ticking ctx) and may add args to the
-/// phase's "repair.process_prov" span, the CNF is normalized once and its
-/// shape counters land in `stats`, and `solved` receives the Min-Ones
-/// result under the remaining ctx budget and cancel flag, with the phase
-/// times and solver counters in `stats`. Returns false, with `solved`
-/// untouched and stats->optimal false, when the budget or cancellation
-/// stopped Process Prov: the CNF is then incomplete.
-bool ProcessProvAndSolve(const std::function<void(Span*)>& encode,
-                         const MinOnesOptions& options, ExecContext* ctx,
-                         DeletionCnfBuilder* builder, MinOnesResult* solved,
-                         RepairStats* stats);
-
 /// The model over `builder`'s CNF and a proven minimum model of it. The
 /// model takes the clauses; the builder keeps its variable maps and stays
 /// alive, shared, as the model's tuple -> variable lookup.
@@ -174,9 +156,9 @@ std::shared_ptr<const StabilityModel> MakeStabilityModel(
     std::shared_ptr<DeletionCnfBuilder> builder,
     const std::vector<bool>& min_model);
 
-/// The cold producer: SolveStability, then the model over its optimum.
-/// nullptr when the run was interrupted or the optimum is unproven —
-/// without it the space cannot be characterized.
+/// The cold space's producer: SolveStability, then the model over its
+/// optimum. nullptr when the run was interrupted or the optimum is
+/// unproven — without it the space cannot be characterized.
 std::shared_ptr<const StabilityModel> BuildStabilityModel(
     InstanceView* view, const Program& program,
     const MinOnesOptions& options, ExecContext* ctx, RepairStats* stats);

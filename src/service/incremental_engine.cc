@@ -12,18 +12,6 @@ namespace deltarepair {
 
 namespace {
 
-// Per-answer CQA verdict cache entries kept before a full clear.
-constexpr size_t kMaxVerdictCacheEntries = size_t{1} << 20;
-
-std::string VerdictCacheKey(const CqaRequest& request, const Tuple& values) {
-  std::string key = request.semantics;
-  key.push_back('\x1e');
-  key.append(request.query);
-  key.push_back('\x1f');
-  key.append(TupleToString(values));
-  return key;
-}
-
 std::vector<TupleId> SortedCopy(const std::vector<TupleId>& ids) {
   std::vector<TupleId> out = ids;
   std::sort(out.begin(), out.end());
@@ -42,7 +30,7 @@ StatusOr<std::unique_ptr<IncrementalEngine>> IncrementalEngine::Create(
       std::make_unique<RepairEngine>(std::move(cold.value()));
   std::lock_guard<std::mutex> lock(engine->mu_);
   engine->ColdRebuildLocked();
-  // The eager build counts as initialization, not a fallback.
+  // The initial snapshot counts as initialization, not a fallback.
   engine->stats_.cold_rebuilds = 0;
   return StatusOr<std::unique_ptr<IncrementalEngine>>(std::move(engine));
 }
@@ -66,14 +54,12 @@ void IncrementalEngine::ColdRebuildLocked() {
   ++stats_.cold_rebuilds;
   view_ = db_->SnapshotView();
   warm_version_ = db_->version();
-  ExecContext ctx;  // unbudgeted: a truncated warm build helps nobody
-  ground_cache_.Build(&view_, program(), &ctx);
   fixpoint_cache_.Clear();
-  ++ground_epoch_;
-  stage_epoch_ = UINT64_MAX;
-  step_epoch_ = UINT64_MAX;
-  // The verdict cache survives: its entries are guarded by content
-  // signatures, which are stable across rebuilds.
+  // A version read before the rebuild need not name the same instance
+  // (a different database object), so no cached result survives.
+  solved_version_ = UINT64_MAX;
+  stage_version_ = UINT64_MAX;
+  step_version_ = UINT64_MAX;
 }
 
 void IncrementalEngine::SyncLocked() {
@@ -104,25 +90,8 @@ void IncrementalEngine::SyncLocked() {
   }
 
   view_.ApplyDelta(delta);
-  bool changed = false;
-  ExecContext ctx;  // unbudgeted maintenance (see ColdRebuildLocked)
-  if (!ground_cache_.ApplyDelta(&view_, program(), delta, &changed, &ctx)) {
-    ColdRebuildLocked();
-    return;
-  }
   ++stats_.incremental_syncs;
   warm_version_ = current;
-
-  if (!changed) {
-    // The hypothetical ground program is untouched: every semantics'
-    // repair outcome — and with it all cached solver/fixpoint/result
-    // state — is certified unchanged (CQA verdicts still see the new
-    // live set through fresh query grounding).
-    ++stats_.empty_patches;
-    return;
-  }
-
-  ++ground_epoch_;
 
   if (fixpoint_cache_.valid) {
     RepairStats fstats;
@@ -143,29 +112,20 @@ void IncrementalEngine::SyncLocked() {
 bool IncrementalEngine::EnsureWarmSolveLocked(const MinOnesOptions& options,
                                               ExecContext* ctx,
                                               RepairStats* stats) {
-  if (solved_epoch_ == ground_epoch_) return true;
-  // The cold pipeline's Process Prov and Solve over the reachable part of
-  // the cached ground program (the rules the cold Eval would ground), fed
-  // in the flat (rule, body) form SolveStability stores.
+  if (solved_version_ == warm_version_) return true;
+  // The cold pipeline, on the view of this version.
   auto builder = std::make_shared<DeletionCnfBuilder>();
   MinOnesResult solved;
-  const bool complete = ProcessProvAndSolve(
-      [&](Span* span) {
-        span->SetArg("active_rules", ground_cache_.num_active());
-        for (uint32_t id : ground_cache_.ReachableRules(program())) {
-          if (ctx->Tick()) break;
-          const GroundProgramCache::GroundRule& gr = ground_cache_.rule(id);
-          builder->AddAssignment(program().rules()[gr.rule_index],
-                                 gr.body.data());
-        }
-      },
-      options, ctx, builder.get(), &solved, stats);
-  if (!complete || !solved.satisfiable || !solved.optimal) return false;
+  if (!SolveStability(&view_, program(), options, ctx, builder.get(), &solved,
+                      stats) ||
+      !solved.satisfiable || !solved.optimal) {
+    return false;
+  }
   warm_builder_ = std::move(builder);
   warm_solved_ = std::move(solved);
   warm_solve_stats_ = *stats;
   warm_model_.reset();
-  solved_epoch_ = ground_epoch_;
+  solved_version_ = warm_version_;
   return true;
 }
 
@@ -247,12 +207,12 @@ RepairOutcome IncrementalEngine::DeterministicRepairLocked(
     const RepairRequest& request, SemanticsKind kind) {
   RepairResult& cached =
       kind == SemanticsKind::kStage ? stage_result_ : step_result_;
-  uint64_t& cached_epoch =
-      kind == SemanticsKind::kStage ? stage_epoch_ : step_epoch_;
+  uint64_t& cached_version =
+      kind == SemanticsKind::kStage ? stage_version_ : step_version_;
   // Seeded runs may shuffle (the step runner's kArbitrary order), so
   // only the deterministic default participates in result reuse.
   const bool cacheable = request.options.seed == 0;
-  if (cacheable && cached_epoch == ground_epoch_) {
+  if (cacheable && cached_version == warm_version_) {
     RepairOutcome out;
     out.result = cached;
     ++stats_.incremental_repairs;
@@ -268,7 +228,7 @@ RepairOutcome IncrementalEngine::DeterministicRepairLocked(
   out.termination = ctx.reason();
   if (cacheable && !ctx.stopped() && out.result.stats.optimal) {
     cached = out.result;
-    cached_epoch = ground_epoch_;
+    cached_version = warm_version_;
   }
   ++stats_.cold_repairs;
   return out;
@@ -281,7 +241,7 @@ RepairOutcome IncrementalEngine::IndependentRepairLocked(
   RepairOutcome out;
   RepairStats& stats = out.result.stats;
   // Phase times and solver counters cover this request's own work: a
-  // request that reuses the epoch's solve reports none.
+  // request that reuses the version's solve reports none.
   if (!EnsureWarmSolveLocked(request.options.independent.min_ones, &ctx,
                              &stats)) {
     ++stats_.cold_repairs;
@@ -302,54 +262,6 @@ RepairOutcome IncrementalEngine::IndependentRepairLocked(
   stats.total_seconds = total.ElapsedSeconds();
   ++stats_.incremental_repairs;
   return out;
-}
-
-std::pair<uint64_t, uint64_t> IncrementalEngine::AnswerSignatureLocked(
-    const AnswerProvenance& prov) const {
-  // Two independent mixers; a reused verdict requires both to match, so
-  // a single 64-bit collision cannot produce a stale verdict.
-  uint64_t a = 0x243f6a8885a308d3ULL;
-  uint64_t b = 0x13198a2e03707344ULL;
-  auto feed = [&a, &b](uint64_t v) {
-    a = (a ^ v) * 0x00000100000001b3ULL;
-    a ^= a >> 32;
-    b = (b + v) * 0x9e3779b97f4a7c15ULL;
-    b ^= b >> 29;
-  };
-  const ConeSlicer& slicer = warm_model_->slicer();
-  for (const std::vector<TupleId>& m : prov.monomials) {
-    feed(m.size());
-    for (const TupleId& t : m) {
-      feed(t.Pack() + 1);
-      // The tuple's forced state under the minimum-repair propagation
-      // fixpoint pins its contribution outright; only *open* variables
-      // key in their residual component — a far smaller unit than a raw
-      // CNF component, so an unrelated delta inside the same giant
-      // component does not invalidate this answer's cached verdict.
-      const int64_t v = warm_model_->FindVar(t);
-      if (v < 0) {
-        feed(0);  // no deletion variable: kept by every minimum repair
-        continue;
-      }
-      switch (slicer.state(static_cast<uint32_t>(v))) {
-        case ConeSlicer::VarState::kForcedKept:
-          feed(1);
-          break;
-        case ConeSlicer::VarState::kForcedDeleted:
-          feed(2);
-          break;
-        case ConeSlicer::VarState::kOpen: {
-          feed(3);
-          const std::pair<uint64_t, uint64_t> key = slicer.component_content(
-              slicer.component_of(static_cast<uint32_t>(v)));
-          feed(key.first);
-          feed(key.second);
-          break;
-        }
-      }
-    }
-  }
-  return {a, b};
 }
 
 CqaResult IncrementalEngine::ExecuteCqa(const CqaRequest& request) {
@@ -384,11 +296,11 @@ CqaResult IncrementalEngine::ExecuteCqa(const CqaRequest& request) {
       EnumeratedRepairSpace space({SortedCopy(fixpoint_cache_.derived)},
                                   /*exact=*/true, fixpoint_stats_);
       ++stats_.warm_cqa;
-      return AnswerQueryWithSpace(&view_, request, &space, nullptr);
+      return AnswerQueryWithSpace(&view_, request, &space);
     }
 
     case SemanticsKind::kStage: {
-      if (stage_epoch_ != ground_epoch_) {
+      if (stage_version_ != warm_version_) {
         InstanceView::State snapshot = view_.SaveState();
         ExecContext ctx(request.options);
         RepairResult result =
@@ -398,12 +310,12 @@ CqaResult IncrementalEngine::ExecuteCqa(const CqaRequest& request) {
         view_.RestoreState(snapshot);
         if (ctx.stopped() || !result.stats.optimal) break;  // cold fallback
         stage_result_ = std::move(result);
-        stage_epoch_ = ground_epoch_;
+        stage_version_ = warm_version_;
       }
       EnumeratedRepairSpace space({stage_result_.deleted}, /*exact=*/true,
                                   stage_result_.stats);
       ++stats_.warm_cqa;
-      return AnswerQueryWithSpace(&view_, request, &space, nullptr);
+      return AnswerQueryWithSpace(&view_, request, &space);
     }
 
     case SemanticsKind::kStep:
@@ -419,60 +331,15 @@ CqaResult IncrementalEngine::ExecuteCqa(const CqaRequest& request) {
                                  &solve_stats)) {
         break;  // cold fallback
       }
-      // Built at the epoch's first independent CQA, so a repair-only
-      // epoch builds no ConeSlicer.
+      // Built at the version's first independent CQA, so a repair-only
+      // version builds no ConeSlicer.
       if (warm_model_ == nullptr) {
         warm_model_ = MakeStabilityModel(warm_builder_, warm_solved_.model);
       }
       SymbolicRepairSpace space(warm_model_, &view_, program(),
                                 request.options.independent.min_ones);
       ++stats_.warm_cqa;
-      if (!warm_model_->slicer().valid()) {
-        // Defensive: every verdict is undecided, so nothing is cached
-        // and no signature is needed.
-        return AnswerQueryWithSpace(&view_, request, &space, nullptr);
-      }
-      CqaAnswerHooks hooks;
-      hooks.lookup = [this, &request](const Tuple& values,
-                                      const AnswerProvenance& prov,
-                                      CqaVerdict* certain,
-                                      CqaVerdict* possible) {
-        auto it = verdict_cache_.find(VerdictCacheKey(request, values));
-        if (it == verdict_cache_.end()) {
-          ++stats_.verdict_cache_misses;
-          return false;
-        }
-        const std::pair<uint64_t, uint64_t> sig = AnswerSignatureLocked(prov);
-        if (sig.first != it->second.sig1 || sig.second != it->second.sig2 ||
-            (request.certain && !it->second.certain.decided) ||
-            (request.possible && !it->second.possible.decided)) {
-          // The answer's provenance cone intersected the delta (or the
-          // cached entry decided less than this request needs).
-          ++stats_.verdict_cache_misses;
-          return false;
-        }
-        *certain = it->second.certain;
-        *possible = it->second.possible;
-        ++stats_.verdict_cache_hits;
-        return true;
-      };
-      hooks.store = [this, &request](const Tuple& values,
-                                     const AnswerProvenance& prov,
-                                     const CqaVerdict& certain,
-                                     const CqaVerdict& possible) {
-        if (!certain.decided && !possible.decided) return;
-        if (verdict_cache_.size() >= kMaxVerdictCacheEntries) {
-          verdict_cache_.clear();
-        }
-        const std::pair<uint64_t, uint64_t> sig = AnswerSignatureLocked(prov);
-        VerdictEntry entry;
-        entry.sig1 = sig.first;
-        entry.sig2 = sig.second;
-        entry.certain = certain;
-        entry.possible = possible;
-        verdict_cache_[VerdictCacheKey(request, values)] = entry;
-      };
-      return AnswerQueryWithSpace(&view_, request, &space, &hooks);
+      return AnswerQueryWithSpace(&view_, request, &space);
     }
   }
 

@@ -615,14 +615,11 @@ std::string RepairServer::HandleStats() {
     json.Field("inc_noop_syncs", inc.noop_syncs);
     json.Field("inc_incremental_syncs", inc.incremental_syncs);
     json.Field("inc_cold_rebuilds", inc.cold_rebuilds);
-    json.Field("inc_empty_patches", inc.empty_patches);
     json.Field("inc_incremental_repairs", inc.incremental_repairs);
     json.Field("inc_reused_repair_results", inc.reused_repair_results);
     json.Field("inc_cold_repairs", inc.cold_repairs);
     json.Field("inc_warm_cqa", inc.warm_cqa);
     json.Field("inc_cold_cqa", inc.cold_cqa);
-    json.Field("inc_verdict_cache_hits", inc.verdict_cache_hits);
-    json.Field("inc_verdict_cache_misses", inc.verdict_cache_misses);
   }
   json.Field("flight_threshold_seconds", flight_->threshold_seconds());
   json.Key("flight");

@@ -73,8 +73,9 @@ struct ServerOptions {
   /// request. Correctness is identical: the engine cold-falls-back on
   /// anything it cannot prove unchanged.
   bool incremental = true;
-  /// Delta fraction above which the warm engine rebuilds from scratch
-  /// instead of patching (IncrementalEngineOptions).
+  /// Delta fraction above which the warm engine re-snapshots its view
+  /// and drops its cached results instead of maintaining the end
+  /// fixpoint by delete-rederive (IncrementalEngineOptions).
   double cold_fallback_fraction = 0.25;
   /// Requests slower than this are retained in the flight recorder
   /// (span tree by trace id, dumped via the stats frame); <= 0 disables

@@ -154,8 +154,8 @@ RepairRequest MakeRepairRequest(const std::string& semantics) {
 }
 
 /// Asserts that a warm independent repair reports the CNF the cold
-/// pipeline builds: the warm engine encodes the same ground program, so
-/// every Algorithm 1 shape counter matches.
+/// pipeline builds: the warm engine runs the same pipeline on its view of
+/// the same version, so every Algorithm 1 shape counter matches.
 void ExpectSameCnfShape(const RepairStats& warm, const RepairStats& cold,
                         const std::string& context) {
   EXPECT_EQ(warm.cnf_vars, cold.cnf_vars) << context;
@@ -231,7 +231,7 @@ TEST(IncrementalEngineTest, EmptyDeltaKeepsEveryCache) {
   IncrementalEngine::Stats after = f.warm->stats();
   EXPECT_GT(after.noop_syncs, before.noop_syncs);
   EXPECT_EQ(after.cold_rebuilds, before.cold_rebuilds);
-  // Unchanged epoch: the deterministic results are reused, not re-run.
+  // Unchanged version: the deterministic results are reused, not re-run.
   EXPECT_GT(after.reused_repair_results, before.reused_repair_results);
   EXPECT_EQ(f.warm->warm_version(), f.ex.db.version());
 }
@@ -283,9 +283,8 @@ TEST(IncrementalEngineTest, WideEntailmentCapLeavesFallbackUndecided) {
   StatusOr<RepairEngine> cold = RepairEngine::Create(&cold_db, program);
   ASSERT_TRUE(cold.ok());
 
-  // Undecided verdicts are never cached, so run the capped request
-  // first: below the cap's area the cap is skipped and the verdicts
-  // come back undecided, not wrong.
+  // Below the cap's area the cap is skipped and the verdicts come back
+  // undecided, not wrong.
   CqaRequest request("independent", "Q(p) :- W(x, p).");
   request.options.independent.min_ones.max_totalizer_area = 13;
   CqaResult uncapped_run = (*warm)->ExecuteCqa(request);
@@ -356,8 +355,8 @@ TEST(IncrementalEngineTest, WarmHubQueryDecidedAsCold) {
 
 TEST(IncrementalEngineTest, MassRetirementKeepsSolverSound) {
   // Disable the fraction fallback so even a delta retracting every
-  // ground rule of a component is maintained incrementally (clause
-  // retirement, never a rebuild).
+  // ground rule of a component is maintained incrementally (the view
+  // and the end fixpoint advance by the delta, never a rebuild).
   IncrementalEngineOptions options;
   options.cold_fallback_fraction = 0;  // <= 0: always incremental
   WarmFixture f(options);
@@ -374,8 +373,8 @@ TEST(IncrementalEngineTest, MassRetirementKeepsSolverSound) {
       f.warm->ExecuteRepair(MakeRepairRequest("independent"));
   EXPECT_EQ(quiet.result.size(), 0u);
 
-  // Revive the component; the retired clauses must come back exactly
-  // once in the revived encoding.
+  // Revive the component; its clauses must come back exactly once in
+  // the next version's encoding.
   f.ex.db.ApplyUpdate(0, true, {g1, g2});
   f.CheckAllSemantics("after reviving all grants");
 

@@ -199,22 +199,79 @@ TEST_F(TraceTest, EvalAndWarmEncodeSpansShowTheReachablePart) {
     EXPECT_LE(e.start_ns + e.dur_ns, eval[0].start_ns + eval[0].dur_ns);
   }
 
-  // The warm encode reports the maintained program beside the clauses
-  // it encoded from its reachable part: 9 active rules (the full
-  // hypothetical grounding), 6 clauses.
+  // The warm engine runs the same pipeline on its view: the same
+  // reachable Eval, then Process Prov encodes the same 6 clauses.
   StatusOr<std::unique_ptr<IncrementalEngine>> warm =
       IncrementalEngine::Create(&ex.db, ex.program);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   Trace::Clear();
   RepairOutcome w = (*warm)->ExecuteRepair(RepairRequest{"independent"});
   ASSERT_TRUE(w.ok());
-  std::vector<TraceEvent> prov =
-      EventsNamed(Trace::Collect(), "repair.process_prov");
+  events = Trace::Collect();
+  eval = EventsNamed(events, "repair.eval");
+  ASSERT_EQ(eval.size(), 1u);
+  args = ArgsOf(eval[0]);
+  EXPECT_EQ(args["assignments"], 8u);
+  EXPECT_EQ(args["rounds"], 5u);
+  std::vector<TraceEvent> prov = EventsNamed(events, "repair.process_prov");
   ASSERT_EQ(prov.size(), 1u);
   args = ArgsOf(prov[0]);
-  EXPECT_EQ(args["active_rules"], 9u);
   EXPECT_EQ(args["clauses"], 6u);
   EXPECT_EQ(args["clauses"], out.result.stats.cnf_clauses);
+}
+
+TEST_F(TraceTest, WarmEngineRunsAlgorithmOneOncePerVersion) {
+  // The warm engine keeps each result for the database version it was
+  // computed at. Create grounds nothing; the first independent request
+  // at a version runs Algorithm 1 on the warm view once; later
+  // independent repairs and CQA at that version reuse it; a realized
+  // update starts over, even one the reachable program does not see.
+  RunningExample ex = MakeRunningExample();
+  StatusOr<std::unique_ptr<IncrementalEngine>> warm =
+      IncrementalEngine::Create(&ex.db, ex.program);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_TRUE(
+      EventsNamed(Trace::Collect(), "ground.enumerate_rule").empty());
+
+  // Runs `request`, then checks how many Eval and Process Prov spans it
+  // left, and (when it ran them) their sizes on the running example.
+  auto expect_runs = [&](auto request, size_t runs, const char* what) {
+    Trace::Clear();
+    request();
+    std::vector<TraceEvent> events = Trace::Collect();
+    std::vector<TraceEvent> eval = EventsNamed(events, "repair.eval");
+    std::vector<TraceEvent> prov = EventsNamed(events, "repair.process_prov");
+    ASSERT_EQ(eval.size(), runs) << what;
+    ASSERT_EQ(prov.size(), runs) << what;
+    if (runs == 0) return;
+    EXPECT_EQ(ArgsOf(eval[0])["assignments"], 8u) << what;
+    EXPECT_EQ(ArgsOf(prov[0])["clauses"], 6u) << what;
+  };
+  auto repair = [&] {
+    RepairOutcome out = (*warm)->ExecuteRepair(RepairRequest{"independent"});
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out.result.size(), 3u);
+  };
+  auto cqa = [&] {
+    CqaResult result =
+        (*warm)->ExecuteCqa(CqaRequest("independent", "Q(n) :- Author(a, n)."));
+    ASSERT_TRUE(result.ok()) << result.status.ToString();
+    EXPECT_EQ(result.answers.size(), 3u);
+  };
+
+  expect_runs(repair, 1, "first repair at the initial version");
+  expect_runs(repair, 0, "second repair at the same version");
+  expect_runs(cqa, 0, "CQA at the same version");
+
+  // The NSF grant is unreachable (no rule without a delta atom reaches
+  // it), so the reachable program is the same, but the version moved.
+  Delta delta = ex.db.ApplyUpdate(ex.g1.relation, /*is_insert=*/false,
+                                  {ex.db.tuple(ex.g1)});
+  ASSERT_EQ(delta.size(), 1u);
+  expect_runs(cqa, 1, "CQA after a realized update");
+  expect_runs(repair, 0, "repair at the updated version");
+  EXPECT_EQ((*warm)->stats().warm_cqa, 2u);
+  EXPECT_EQ((*warm)->stats().cold_repairs, 0u);
 }
 
 TEST_F(TraceTest, EnumerateRuleSpanCountsJoinWork) {

@@ -9,10 +9,11 @@
 // independent repair must be optimal, stabilizing and of the exact
 // (subset enumeration) size, the family of minimum models of the
 // reachable CNF must equal the brute-force independent repair space, the
-// warm engine must encode the same CNF, and every counterexample
-// (threaded judges, extending the closure over one shared view) must be
-// a smallest stabilizing set killing its answer. Count pins fix the
-// reachable sizes on the paper's workloads.
+// warm engine, which runs the same pipeline on its view, must report the
+// same CNF shape, and every counterexample (threaded judges, extending
+// the closure over one shared view) must be a smallest stabilizing set
+// killing its answer. Count pins fix the reachable sizes on the paper's
+// workloads.
 //
 // DR_FUZZ_ITERS multiplies the randomized coverage (nightly deep-fuzz
 // job); the default count keeps an ASan/TSan CI run fast.
@@ -246,7 +247,7 @@ void ExpectReachableMatchesFull(RandomInstance* inst,
             std::set<std::vector<TupleId>>(space->begin(), space->end()))
       << context;
 
-  // The warm engine encodes the same reachable CNF.
+  // The warm engine runs the same pipeline on its view: same CNF shape.
   StatusOr<std::unique_ptr<IncrementalEngine>> warm =
       IncrementalEngine::Create(db, inst->program);
   ASSERT_TRUE(warm.ok()) << context;

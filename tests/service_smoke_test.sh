@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the service layer. Drives the real binaries:
 #
+#   0. drepair_server rejects an out-of-range --cold-fallback-fraction
+#      (NaN included) with exit code 2
 #   1. batch CLI --json baseline over the paper's running example
 #   2. drepair_server bootstrapped from the same CSVs (snapshot + WAL)
 #   3. repair + CQA through drepair_client; reports must be byte-identical
@@ -97,6 +99,19 @@ wait_for_port_file() {
   echo "server never wrote $1" >&2
   return 1
 }
+
+# --- 0. Flag validation. ---------------------------------------------------
+# A cold-fallback fraction outside [0, 1] is a usage error (exit 2) before
+# the store is opened; NaN compares false both ways and must fail too.
+for f in nan 2 -0.5; do
+  RC=0
+  "$SERVER" --store missing_store --program repair.dl \
+    --cold-fallback-fraction "$f" > /dev/null 2>&1 || RC=$?
+  if [ "$RC" -ne 2 ]; then
+    echo "--cold-fallback-fraction $f exited $RC, want 2" >&2
+    exit 1
+  fi
+done
 
 # --- 1. Batch CLI baseline. -----------------------------------------------
 "$CLI" --data data --program repair.dl --semantics end --verify \

@@ -27,9 +27,9 @@
 //   --no-incremental     serve every request cold (per-request snapshot
 //                        re-ground) instead of from warm delta-aware
 //                        engine state
-//   --cold-fallback-fraction <f>  delta fraction above which the warm
-//                        engine rebuilds instead of patching (default
-//                        0.25)
+//   --cold-fallback-fraction <f>  delta fraction in [0, 1] above which
+//                        the warm engine re-snapshots its view instead
+//                        of maintaining it (default 0.25; 0 never does)
 //   --log-level    debug|info|warn|error|off: switch to structured
 //                  stderr logging at that threshold (one line per
 //                  request with timestamp, level and trace id). Without
@@ -189,8 +189,9 @@ int main(int argc, char** argv) {
       const char* v = next();
       char* end = nullptr;
       cold_fallback_fraction = v != nullptr ? std::strtod(v, &end) : -1;
+      // Written so that NaN fails too: it compares false both ways.
       if (v == nullptr || end == v || *end != '\0' ||
-          cold_fallback_fraction < 0 || cold_fallback_fraction > 1) {
+          !(cold_fallback_fraction >= 0 && cold_fallback_fraction <= 1)) {
         return Usage(argv[0]);
       }
     } else {
